@@ -12,7 +12,6 @@ like "ll" and "rr" win over their single letters.
 
 from .engine import (
     DEFAULT_CONFIG,
-    Dialect,
     DigitMode,
     EngineConfig,
     PunctMode,
@@ -34,13 +33,11 @@ from .rules import (
     RuleError,
     RuleMatch,
     RuleSet,
-    RuleSource,
     default_rules,
     lookup,
     parse_rules,
     serialize_rules,
 )
-from .scanner import CharClass, Token, TokenKind, classify_char, segment
 
 __version__ = "0.1.0"
 

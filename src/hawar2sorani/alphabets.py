@@ -1,4 +1,4 @@
-"""Character inventories shared by the tokenizer and the rule model."""
+"""Character inventories shared by the engine and the rule model."""
 
 # Hawar alphabet (lowercase). The two diaeresis letters carry the pharyngeal
 # and velar-fricative sounds that plain Latin Kurdish omits.
@@ -17,7 +17,7 @@ LATIN_RULE_CHARS = LOWER_LETTERS | {CANONICAL_APOSTROPHE}
 # Latin-side vowels; these drive the post-vowel rule context.
 HAWAR_VOWELS = frozenset("aeêiîouû")
 
-# Both cases, for the tokenizer. The target script is caseless, so the
+# Both cases, for the engine's word pattern. The target script is caseless, so the
 # engine folds case before matching.
 KURDISH_LATIN_LETTERS = LOWER_LETTERS | frozenset("ABCÇDEÊFGHIÎJKLMNOPQRSŞTUÛVWXYZḦẌ")
 

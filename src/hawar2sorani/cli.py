@@ -7,11 +7,15 @@ regression harness over tab-separated (latin, expected) pairs and exits
 nonzero when any pair disagrees.
 
 Exit codes: 0 success, 1 corpus-check failures, 2 unreadable or invalid
-input, 3 rule-file errors, 4 unmatched character in --strict mode.
+input, 3 rule-file errors, 4 unmatched character in --strict mode. A run
+that fails leaves an existing output file as it was and creates none.
 """
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
@@ -180,14 +184,13 @@ def _load_rules(path: Optional[str]) -> RuleSet:
 
 # Batch size for streaming reads. readlines() returns whole lines, so memory
 # stays bounded by max(batch size, longest line), never by file size.
-_BATCH_BYTES = 1 << 18
+_BATCH_BYTES = 1 << 17
 
 
 def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> None:
     """Transliterate ``infile`` to ``outfile`` in line batches (both binary)."""
     consumed = 0
     lines_done = 0
-    first = True
     while True:
         batch = infile.readlines(_BATCH_BYTES)
         if not batch:
@@ -197,15 +200,13 @@ def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> No
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidInputBytes(consumed + exc.start, exc.reason) from None
-        if first:
-            if text.startswith(BOM):
-                text = text[len(BOM):]
-            first = False
+        if not consumed:
+            text = text.removeprefix(BOM)
         try:
             out = transliterate_text(text, rs, cfg, strict=strict)
         except UnmatchedCharacter as exc:
             raise UnmatchedCharacter(
-                exc.char, exc.offset, lines_done + (exc.line or 1), exc.column
+                exc.char, exc.offset, lines_done + exc.line, exc.column
             ) from None
         outfile.write(out.encode("utf-8"))
         consumed += len(raw)
@@ -213,20 +214,36 @@ def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> No
     outfile.flush()
 
 
-def _run_transliterate(argv: list) -> int:
-    args = _build_main_parser().parse_args(argv)
-    try:
-        rs = _load_rules(args.rules)
-    except (RuleError, OSError, UnicodeDecodeError) as exc:
-        print(f"translit: {exc}", file=sys.stderr)
-        return EXIT_RULES
-    cfg = _config_from_args(args)
+def _open_output(target: str) -> tuple:
+    """Open a temporary file beside ``target`` to be renamed over it on success.
 
-    infile = outfile = None
+    Returns (file, temporary path). A target that exists but is not a regular
+    file, such as /dev/null, is opened directly and the path is None.
+    """
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(mode):
+            return open(target, "wb"), None
+    fd, tmp = tempfile.mkstemp(prefix=".translit-", dir=os.path.dirname(target))
+    os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp creates the file 0600
+    return os.fdopen(fd, "wb"), tmp
+
+
+def _run_transliterate(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
+    infile = outfile = tmp = None
     try:
         try:
             infile = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-            outfile = sys.stdout.buffer if args.output == "-" else open(args.output, "wb")
+            if args.output == "-":
+                outfile = sys.stdout.buffer
+            else:
+                target = os.path.realpath(args.output)  # replace a symlink's file, not the link
+                outfile, tmp = _open_output(target)
         except OSError as exc:
             print(f"translit: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -236,27 +253,23 @@ def _run_transliterate(argv: list) -> int:
             print(f"translit: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except UnmatchedCharacter as exc:
-            print(
-                f"translit: no rule matches {exc.char!r} at {exc.line}:{exc.column}",
-                file=sys.stderr,
-            )
+            print(f"translit: {exc}", file=sys.stderr)  # names line:column
             return EXIT_STRICT
+        if tmp is not None:
+            outfile.close()
+            os.replace(tmp, target)
+            tmp = None
     finally:
         if infile is not None and infile is not sys.stdin.buffer:
             infile.close()
         if outfile is not None and outfile is not sys.stdout.buffer:
             outfile.close()
+        if tmp is not None:
+            os.unlink(tmp)
     return EXIT_OK
 
 
-def _run_check(argv: list) -> int:
-    args = _build_check_parser().parse_args(argv)
-    try:
-        rs = _load_rules(args.rules)
-    except (RuleError, OSError, UnicodeDecodeError) as exc:
-        print(f"translit: {exc}", file=sys.stderr)
-        return EXIT_RULES
-    cfg = _config_from_args(args)
+def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
     corpus = args.corpus if args.corpus is not None else seed_corpus_path()
     try:
         report = check_corpus(corpus, rs, cfg)
@@ -273,8 +286,15 @@ def run(argv: Optional[list] = None) -> int:
     """CLI entry point, returning the exit status."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "check":
-        return _run_check(argv[1:])
-    return _run_transliterate(argv)
+        args, command = _build_check_parser().parse_args(argv[1:]), _run_check
+    else:
+        args, command = _build_main_parser().parse_args(argv), _run_transliterate
+    try:
+        rs = _load_rules(args.rules)
+    except (RuleError, OSError, UnicodeDecodeError) as exc:
+        print(f"translit: {exc}", file=sys.stderr)
+        return EXIT_RULES
+    return command(args, rs, _config_from_args(args))
 
 
 def main() -> None:

@@ -1,20 +1,21 @@
-"""Transliteration engine: applies a rule table to scanned tokens.
+"""Transliteration engine: one pass that rewrites each word of a text.
 
-Word tokens are case-folded and rewritten left to right by longest-match
-lookup with positional context; symbol tokens get the configured punctuation
-and digit mapping; everything else passes through. No rule context crosses a
-word boundary and words never cross lines, so line-by-line processing gives
-byte-identical output to whole-text processing.
+A word is a maximal run of Kurdish Latin letters and apostrophes holding at
+least one letter. Each word is case-folded and rewritten left to right by
+longest-match lookup with positional context; every other character gets the
+configured punctuation and digit mapping or passes through. No rule context
+crosses a word boundary and words never cross lines, so line-by-line
+processing gives byte-identical output to whole-text processing.
 """
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .alphabets import CANONICAL_APOSTROPHE
+from .alphabets import APOSTROPHES, CANONICAL_APOSTROPHE, KURDISH_LATIN_LETTERS
 from .rules import RuleSet, lookup
-from .scanner import TokenKind, token_runs
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -29,16 +30,11 @@ class PunctMode(Enum):
     ARABIC_SCRIPT = "arabic"
 
 
-class Dialect(Enum):
-    UNIFIED = "unified"  # one table serves Kurmanji and Sorani input
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     digit_mode: DigitMode = DigitMode.KEEP
     punct_mode: PunctMode = PunctMode.ARABIC_SCRIPT
     emit_rlm: bool = False
-    dialect: Dialect = Dialect.UNIFIED
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -76,7 +72,7 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-# Transliterated words memoized per RuleSet, keyed on the raw token text so
+# Transliterated words memoized per RuleSet, keyed on the raw word text so
 # repeats skip case folding too; real text repeats words heavily.
 _CACHE_LIMIT = 1 << 17
 
@@ -84,7 +80,7 @@ _CACHE_LIMIT = 1 << 17
 def transliterate_word(
     word: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
-    """Rewrite one word token. Characters without a rule pass through.
+    """Rewrite one word. Characters without a rule pass through.
 
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
@@ -152,73 +148,39 @@ def map_symbols(text: str, cfg: EngineConfig) -> str:
     return text
 
 
+_LETTERS = re.escape("".join(sorted(KURDISH_LATIN_LETTERS)))
+_APOSTROPHES = re.escape("".join(sorted(APOSTROPHES)))
+# Leading apostrophes join the word, so a run of apostrophes alone is not one.
+_WORD = re.compile(f"[{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*")
+# A full stop ending a line would render on the wrong side in an LTR-defaulted
+# editor; the mark pins it. \r from CRLF input stays after the mark.
+_LINE_FINAL_STOP = re.compile(r"\.(\r*)$", re.M)
+_STOP_WITH_RLM = "." + RLM + r"\1"
+
+
 def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
-    if not (strict or cfg.emit_rlm):
-        # Newlines sit inside whitespace runs and pass through, so the text
-        # need not be split into lines unless a per-line feature is on.
-        return _transliterate_chunk(text, rs, cfg)
-    parts = [
-        _transliterate_line(line, rs, cfg, strict, lineno)
-        for lineno, line in enumerate(text.split("\n"), start=1)
-    ]
-    return "\n".join(parts)
-
-
-def _nfc(text: str) -> str:
-    if unicodedata.is_normalized("NFC", text):
-        return text
-    return unicodedata.normalize("NFC", text)
-
-
-def _transliterate_chunk(text, rs, cfg):
-    text = _nfc(text)
+    if not unicodedata.is_normalized("NFC", text):
+        text = unicodedata.normalize("NFC", text)
     cache = rs._word_cache
-    pieces = []
-    append = pieces.append
-    word_kind = TokenKind.WORD
-    symbols_kind = TokenKind.SYMBOLS
-    for kind, run in token_runs(text):
-        if kind is word_kind:
-            entry = cache.get(run)
-            if entry is None:
-                entry = _word_entry(run, rs)
-            append(entry[0])
-        elif kind is symbols_kind:
-            append(map_symbols(run, cfg))
-        else:
-            append(run)
-    return "".join(pieces)
 
+    def word(match):
+        run = match.group()
+        entry = cache.get(run)
+        if entry is None:
+            entry = _word_entry(run, rs)
+        if strict and entry[1] >= 0:
+            start = match.start()
+            line = text.count("\n", 0, start) + 1
+            column = start - text.rfind("\n", 0, start) + entry[1]
+            raise UnmatchedCharacter(entry[2], entry[1], line, column)
+        return entry[0]
 
-def _transliterate_line(line, rs, cfg, strict, lineno):
-    line = _nfc(line)
-    cache = rs._word_cache
-    pieces = []
-    column = 0  # char offset in the normalized line
-    for kind, run in token_runs(line):
-        if kind is TokenKind.WORD:
-            entry = cache.get(run)
-            if entry is None:
-                entry = _word_entry(run, rs)
-            if strict and entry[1] >= 0:
-                raise UnmatchedCharacter(
-                    entry[2], entry[1], line=lineno, column=column + entry[1] + 1
-                )
-            pieces.append(entry[0])
-        elif kind is TokenKind.SYMBOLS:
-            pieces.append(map_symbols(run, cfg))
-        else:
-            pieces.append(run)
-        column += len(run)
-    out = "".join(pieces)
+    # Word output is Arabic letters or passed-through word characters, never
+    # a mapped symbol, so the symbol mapping can run over the whole result.
+    out = map_symbols(_WORD.sub(word, text), cfg)
     if cfg.emit_rlm:
-        # A full stop ending the line would render on the wrong side in an
-        # LTR-defaulted editor; the mark pins it. \r from CRLF input stays
-        # after the mark.
-        body = out.rstrip("\r")
-        if body.endswith("."):
-            out = body + RLM + out[len(body):]
+        out = _LINE_FINAL_STOP.sub(_STOP_WITH_RLM, out)
     return out

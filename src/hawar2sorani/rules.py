@@ -82,11 +82,6 @@ class Context(Enum):
     WORD_FINAL = "final"
 
 
-class RuleSource(Enum):
-    BUILT_IN = "built-in"
-    USER_FILE = "user-file"
-
-
 def _check_pattern(pattern: str, line: Optional[int] = None) -> None:
     if not pattern:
         raise MalformedLine("empty pattern", line)
@@ -107,16 +102,11 @@ def _check_output(output: str, line: Optional[int] = None) -> None:
 
 @dataclass(frozen=True)
 class Rule:
-    """One Latin-pattern to Arabic-output mapping.
-
-    ``source`` is provenance only and does not take part in equality, so a
-    table survives a serialize/parse round trip intact.
-    """
+    """One Latin-pattern to Arabic-output mapping."""
 
     pattern: str
     context: Context
     output: str
-    source: RuleSource = field(default=RuleSource.USER_FILE, compare=False)
 
     def __post_init__(self):
         _check_pattern(self.pattern)
@@ -305,7 +295,7 @@ def parse_rules(text: str) -> RuleSet:
         if (pattern, context) in seen:
             raise DuplicateRule(pattern, context_token, lineno)
         seen.add((pattern, context))
-        rules.append(Rule(pattern, context, output, source=RuleSource.USER_FILE))
+        rules.append(Rule(pattern, context, output))
     return RuleSet(tuple(rules), exceptions, vowels, version)
 
 
@@ -399,8 +389,5 @@ _DEFAULT_EXCEPTIONS = {
 
 def default_rules() -> RuleSet:
     """The built-in Hawar-to-Sorani table with its exception lexicon."""
-    rules = tuple(
-        Rule(pattern, context, output, source=RuleSource.BUILT_IN)
-        for pattern, context, output in _DEFAULT_TABLE
-    )
+    rules = tuple(Rule(pattern, context, output) for pattern, context, output in _DEFAULT_TABLE)
     return RuleSet(rules, dict(_DEFAULT_EXCEPTIONS), HAWAR_VOWELS, DEFAULT_VERSION)

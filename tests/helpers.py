@@ -1,6 +1,10 @@
 """Shared test oracles: naive, unoptimized reimplementations of the match
-policy used to cross-check the engine's indexed fast path."""
+policy and of word grouping, used to cross-check the engine's fast path."""
 
+import unicodedata
+
+from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS
+from hawar2sorani.engine import RLM, UnmatchedCharacter, fold_word, map_symbols
 from hawar2sorani.rules import Context, RuleSet
 
 
@@ -25,12 +29,14 @@ def naive_lookup(rs: RuleSet, word: str, pos: int, is_word_initial: bool, prev_i
     return min(candidates)[3]
 
 
-def naive_transliterate_word(word: str, rs: RuleSet) -> str:
-    """Greedy parse driven entirely by naive_lookup; expects folded input."""
+def naive_parse(word: str, rs: RuleSet) -> tuple:
+    """Greedy parse driven entirely by naive_lookup; expects folded input.
+    Returns (output, index of the first character no rule matched or -1)."""
     exception = rs.exceptions.get(word)
     if exception is not None:
-        return exception
+        return exception, -1
     out = []
+    unmatched = -1
     pos = 0
     while pos < len(word):
         rule = naive_lookup(
@@ -41,9 +47,46 @@ def naive_transliterate_word(word: str, rs: RuleSet) -> str:
             prev_is_vowel=pos > 0 and word[pos - 1] in rs.latin_vowels,
         )
         if rule is None:
+            if unmatched < 0:
+                unmatched = pos
             out.append(word[pos])
             pos += 1
         else:
             out.append(rule.output)
             pos += len(rule.pattern)
-    return "".join(out)
+    return "".join(out), unmatched
+
+
+def naive_transliterate_word(word: str, rs: RuleSet) -> str:
+    return naive_parse(word, rs)[0]
+
+
+def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) -> str:
+    """Reference for transliterate_text. Walks each NFC line one character at
+    a time, grouping maximal runs of letters and apostrophes; a run holding a
+    letter is a word, every other character gets map_symbols."""
+    lines = []
+    for lineno, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
+        pieces = []
+        run = ""
+        for column, ch in enumerate(line + "\n", start=1):  # the "\n" ends the last run
+            if ch in KURDISH_LATIN_LETTERS or ch in APOSTROPHES:
+                run += ch
+                continue
+            if any(c in KURDISH_LATIN_LETTERS for c in run):
+                word = fold_word(run)
+                out, unmatched = naive_parse(word, rs)
+                if strict and unmatched >= 0:
+                    where = column - len(run) + unmatched
+                    raise UnmatchedCharacter(word[unmatched], unmatched, lineno, where)
+                pieces.append(out)
+            else:
+                pieces.append(map_symbols(run, cfg))
+            pieces.append(map_symbols(ch, cfg))
+            run = ""
+        out = "".join(pieces)[:-1]
+        body = out.rstrip("\r")
+        if cfg.emit_rlm and body.endswith("."):
+            out = body + RLM + out[len(body):]
+        lines.append(out)
+    return "\n".join(lines)

@@ -9,7 +9,12 @@ import time
 
 from hawar2sorani import (
     Context,
+    DigitMode,
+    EngineConfig,
+    PunctMode,
     Rule,
+    RuleSet,
+    UnmatchedCharacter,
     parse_rules,
     serialize_rules,
     transliterate_text,
@@ -17,8 +22,7 @@ from hawar2sorani import (
 )
 from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS
 from hawar2sorani.cli import run
-from hawar2sorani.scanner import segment
-from helpers import naive_transliterate_word
+from helpers import naive_transliterate_text, naive_transliterate_word
 
 
 def _best_time(fn, repeats=5):
@@ -28,6 +32,14 @@ def _best_time(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _outcome(fn, *args, **kwargs):
+    """The output, or the strict-mode error position as a tuple."""
+    try:
+        return fn(*args, **kwargs)
+    except UnmatchedCharacter as exc:
+        return (exc.char, exc.offset, exc.line, exc.column)
 
 
 def test_criterion_1_min(rs, cfg):
@@ -70,7 +82,9 @@ def test_criterion_5_property_suite(rs, cfg):
     started = time.perf_counter()
     rng = random.Random(20240601)
 
-    # 10,000 random Unicode strings: partition invariant.
+    # 10,000 random Unicode strings: the engine equals the character-by-
+    # character oracle, strict off and on, under the full table and under one
+    # missing some letters so that strict mode fails.
     pool = (
         [chr(cp) for cp in range(0x20, 0x7F)]
         + [chr(cp) for cp in range(0x600, 0x6FF)]
@@ -79,11 +93,22 @@ def test_criterion_5_property_suite(rs, cfg):
         + [chr(rng.randrange(0x80, 0x2FFF)) for _ in range(64)]
         + [chr(rng.randrange(0x1F300, 0x1F600)) for _ in range(16)]
     )
-    for _ in range(10_000):
+    partial = RuleSet(tuple(r for r in rs.rules if r.pattern not in ("q", "x", "'")), rs.exceptions)
+    arabic, keep = DigitMode.ARABIC_INDIC, PunctMode.KEEP
+    configs = [
+        cfg,
+        EngineConfig(digit_mode=arabic, emit_rlm=True),
+        EngineConfig(punct_mode=keep, emit_rlm=True),
+        EngineConfig(punct_mode=keep, digit_mode=arabic),
+    ]
+    for i in range(10_000):
         text = "".join(rng.choices(pool, k=rng.randrange(0, 80)))
-        tokens = segment(text)
-        assert "".join(token.text for token in tokens) == text
-        assert all(token.text for token in tokens)
+        config = configs[i % len(configs)]
+        for table in (rs, partial):
+            for strict in (False, True):
+                got = _outcome(transliterate_text, text, table, config, strict=strict)
+                want = _outcome(naive_transliterate_text, text, table, config, strict=strict)
+                assert got == want, (text, config, strict)
 
     # 10,000 random Hawar words: idempotence, case invariance, determinism,
     # and no Latin residue.

@@ -1,9 +1,12 @@
 import io
+import os
+import stat
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+from hawar2sorani import cli
 from hawar2sorani.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
@@ -16,7 +19,8 @@ from hawar2sorani.cli import (
     run,
     seed_corpus_path,
 )
-from hawar2sorani.engine import transliterate_text
+from hawar2sorani.engine import DigitMode, EngineConfig, UnmatchedCharacter, transliterate_text
+from hawar2sorani.rules import parse_rules
 
 TINY_RULES = "b\tany\tب\na\tany\tا\nn\tany\tن\n"
 
@@ -95,6 +99,62 @@ def test_streaming_equals_whole_text(tmp_path, rs, cfg):
     dst = tmp_path / "out.txt"
     assert run([src, "-o", str(dst)]) == EXIT_OK
     assert dst.read_text(encoding="utf-8") == transliterate_text(text, rs, cfg)
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 7, 64])
+def test_streaming_many_batches(tmp_path, monkeypatch, capsys, rs, batch_bytes):
+    # BOM, CRLF and LF mixed, decomposed letters, line-final stops
+    text = "min \u00fb tu.\r\nh\u0308al 1984?\nSe'i\u0302d.\r\r\n\nrojbas\u0327, gull; dill.\nno final"
+    monkeypatch.setattr(cli, "_BATCH_BYTES", batch_bytes)
+    src = _write(tmp_path / "in.txt", "\ufeff" + text)
+    dst = tmp_path / "out.txt"
+    flags = ["--strict", "--rlm", "--digits", "arabic"]
+    assert run(flags + [src, "-o", str(dst)]) == EXIT_OK
+    config = EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
+    expected = transliterate_text(text, rs, config, strict=True)
+    assert dst.read_bytes() == expected.encode("utf-8")
+
+    # a strict failure several batches in reports the global position
+    rules = _write(tmp_path / "tiny.rules", TINY_RULES)
+    bad = "ban.\r\nna\n\nban nab\nban baq\n"
+    with pytest.raises(UnmatchedCharacter) as exc_info:
+        transliterate_text(bad, parse_rules(TINY_RULES), strict=True)
+    assert (exc_info.value.line, exc_info.value.column) == (5, 7)
+    src = _write(tmp_path / "bad.txt", "\ufeff" + bad)
+    assert run(flags + ["--rules", rules, src, "-o", str(dst)]) == EXIT_STRICT
+    assert "'q' at 5:7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("data", "status"),
+    [("ban\nbaq\n".encode(), EXIT_STRICT), (b"ban\nb\xffa\n", EXIT_INPUT)],
+)
+def test_failed_run_leaves_output_alone(tmp_path, monkeypatch, data, status):
+    # one line per batch, so the first line is written before the failure
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 1)
+    rules = _write(tmp_path / "tiny.rules", TINY_RULES)
+    src = _write(tmp_path / "in.txt", data)
+    dst = tmp_path / "out.txt"
+    argv = ["--rules", rules, "--strict", src, "-o", str(dst)]
+    assert run(argv) == status
+    assert not dst.exists()
+    dst.write_bytes(b"old")
+    assert run(argv) == status
+    assert dst.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt", "tiny.rules"]
+
+
+def test_output_keeps_mode_and_follows_symlink(tmp_path):
+    src = _write(tmp_path / "in.txt", "min\n")
+    real = tmp_path / "real.txt"
+    real.write_bytes(b"old")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert run([src, "-o", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "من\n"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
 
 
 def test_digit_and_punct_flags(tmp_path):

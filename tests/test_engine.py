@@ -128,10 +128,17 @@ def test_text_empty(rs, cfg):
 
 def test_text_arabic_passthrough(rs, cfg):
     assert transliterate_text("دیننە", rs, cfg) == "دیننە"
+    # Arabic text is never a word; its punctuation and digits still map
+    assert transliterate_text("دیننە, min؟ ٣", rs, cfg) == "دیننە، من؟ ٣"
 
 
 def test_text_mixed_line(rs, cfg):
     assert transliterate_text("rojbaş, se'îd?", rs, cfg) == "رۆژباش، سەعید؟"
+    # an apostrophe inside a word belongs to it; the full stop does not
+    assert transliterate_text("Se'îd.", rs, cfg) == "سەعید."
+    # apostrophes alone are not a word; leading ones join the next word
+    assert transliterate_text("'' a'b ''c", rs, cfg) == "'' ئاعب ععج"
+    assert transliterate_text("baş? 12!", rs, cfg) == "باش؟ 12!"
 
 
 def test_text_decomposed_input_still_matches(rs, cfg):
@@ -156,6 +163,7 @@ def test_text_rlm_after_final_stop(rs):
     rlm_cfg = EngineConfig(emit_rlm=True)
     assert transliterate_text("min.\n", rs, rlm_cfg) == "من." + RLM + "\n"
     assert transliterate_text("min.\r\n", rs, rlm_cfg) == "من." + RLM + "\r\n"
+    assert transliterate_text("min.\r\r\n", rs, rlm_cfg) == "من." + RLM + "\r\r\n"
     assert transliterate_text("min.", rs, rlm_cfg) == "من." + RLM
     # not at end of line: untouched
     assert transliterate_text("min. tu\n", rs, rlm_cfg) == "من. تو\n"

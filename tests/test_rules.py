@@ -15,7 +15,6 @@ from hawar2sorani.rules import (
     Rule,
     RuleMatch,
     RuleSet,
-    RuleSource,
     default_rules,
     lookup,
     parse_rules,
@@ -178,10 +177,6 @@ def test_default_exception_lexicon(rs):
 
 def test_default_has_no_coverage_gaps(rs):
     assert rs.coverage_gaps() == []
-
-
-def test_default_sources_marked_builtin(rs):
-    assert all(rule.source is RuleSource.BUILT_IN for rule in rs.rules)
 
 
 def test_coverage_gaps_reports_missing():

@@ -1,102 +1,111 @@
+"""Word boundaries: which characters the engine groups into one word.
+
+A word is a maximal run of Kurdish Latin letters and apostrophes holding at
+least one letter; everything between words is a gap that only gets the
+symbol mapping. These tests split text with the engine's own word pattern.
+"""
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawar2sorani.scanner import CharClass, Token, TokenKind, classify_char, segment
+from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS
+from hawar2sorani.engine import _WORD
+
+WORD, GAP = "word", "gap"
 
 
-# ----------------------------------------------------------- classify_char
+def split(text):
+    """The text as (WORD|GAP, piece) pairs, in order."""
+    pieces = []
+    pos = 0
+    for match in _WORD.finditer(text):
+        if match.start() > pos:
+            pieces.append((GAP, text[pos : match.start()]))
+        pieces.append((WORD, match.group()))
+        pos = match.end()
+    if pos < len(text):
+        pieces.append((GAP, text[pos:]))
+    return pieces
+
+
+def assert_separates_words(ch):
+    assert split("a" + ch + "b") == [(WORD, "a"), (GAP, ch), (WORD, "b")]
+
+
+# ------------------------------------------------------- word characters
 
 def test_classify_kurdish_letters():
     for ch in "şaZÇêÎûḧẌ":
-        assert classify_char(ch) is CharClass.KURDISH_LATIN_LETTER
+        assert split(ch) == [(WORD, ch)]
+        assert split("a" + ch + "b") == [(WORD, "a" + ch + "b")]
 
 
 def test_classify_apostrophe_variants():
     for ch in ("'", "’", "ʼ"):
-        assert classify_char(ch) is CharClass.APOSTROPHE
+        assert split(ch) == [(GAP, ch)]
+        assert split("a" + ch + "b") == [(WORD, "a" + ch + "b")]
+        assert split(ch + "a") == [(WORD, ch + "a")]
 
 
 def test_classify_punctuation():
-    assert classify_char("؟") is CharClass.PUNCTUATION
-    assert classify_char(".") is CharClass.PUNCTUATION
-    assert classify_char("«") is CharClass.PUNCTUATION
+    for ch in ("؟", ".", "«"):
+        assert_separates_words(ch)
 
 
 def test_classify_whitespace():
-    for ch in (" ", "\t", "\n", " "):
-        assert classify_char(ch) is CharClass.WHITESPACE
+    for ch in (" ", "\t", "\n", "\xa0"):
+        assert_separates_words(ch)
 
 
 def test_classify_digits():
-    assert classify_char("7") is CharClass.DIGIT
-    assert classify_char("٧") is CharClass.DIGIT
+    for ch in ("7", "٧"):
+        assert_separates_words(ch)
 
 
 def test_classify_other():
-    assert classify_char("م") is CharClass.OTHER
-    assert classify_char("é") is CharClass.OTHER
-    assert classify_char("̈") is CharClass.OTHER  # combining diaeresis
+    for ch in ("م", "é", "̈"):  # the last is a combining diaeresis
+        assert_separates_words(ch)
 
 
-# ----------------------------------------------------------------- segment
+# ------------------------------------------------------------- splitting
 
 def test_segment_words_and_spaces():
-    tokens = segment("min û tu")
-    assert [(t.kind, t.text) for t in tokens] == [
-        (TokenKind.WORD, "min"),
-        (TokenKind.SPACE, " "),
-        (TokenKind.WORD, "û"),
-        (TokenKind.SPACE, " "),
-        (TokenKind.WORD, "tu"),
+    assert split("min û tu") == [
+        (WORD, "min"),
+        (GAP, " "),
+        (WORD, "û"),
+        (GAP, " "),
+        (WORD, "tu"),
     ]
 
 
 def test_segment_absorbs_apostrophe():
-    tokens = segment("Se'îd.")
-    assert [(t.kind, t.text) for t in tokens] == [
-        (TokenKind.WORD, "Se'îd"),
-        (TokenKind.SYMBOLS, "."),
-    ]
+    assert split("Se'îd.") == [(WORD, "Se'îd"), (GAP, ".")]
 
 
 def test_segment_empty():
-    assert segment("") == []
+    assert split("") == []
 
 
 def test_segment_apostrophes_alone_are_symbols():
-    tokens = segment("'' a'b ''c")
-    kinds = [(t.kind, t.text) for t in tokens]
-    assert kinds == [
-        (TokenKind.SYMBOLS, "''"),
-        (TokenKind.SPACE, " "),
-        (TokenKind.WORD, "a'b"),
-        (TokenKind.SPACE, " "),
-        (TokenKind.WORD, "''c"),
+    assert split("'' a'b ''c") == [
+        (GAP, "'' "),
+        (WORD, "a'b"),
+        (GAP, " "),
+        (WORD, "''c"),
     ]
 
 
 def test_segment_merges_symbol_runs():
-    tokens = segment("baş? 12!")
-    assert [(t.kind, t.text) for t in tokens] == [
-        (TokenKind.WORD, "baş"),
-        (TokenKind.SYMBOLS, "?"),
-        (TokenKind.SPACE, " "),
-        (TokenKind.SYMBOLS, "12!"),
-    ]
-
-
-def test_segment_byte_offsets():
-    tokens = segment("sê yek")
-    assert [t.start for t in tokens] == [0, 3, 4]  # ê is two UTF-8 bytes
+    assert split("baş? 12!") == [(WORD, "baş"), (GAP, "? 12!")]
 
 
 def test_segment_arabic_is_symbols():
-    tokens = segment("دیننە")
-    assert [t.kind for t in tokens] == [TokenKind.SYMBOLS]
+    assert split("دیننە") == [(GAP, "دیننە")]
 
 
 # A pool that leans on known tricky characters plus plain text.
-_TRICKY = "\x1c\x1d\x1e\x1f\x85   ​﻿‏'’ʼ«؟٣م."
+_TRICKY = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u200b\ufeff\u200f'’ʼ«؟٣م."
 _pool = st.one_of(
     st.sampled_from(list(_TRICKY + "abcç êîşûḧẍABZ 09\t\n")),
     st.characters(),
@@ -106,35 +115,32 @@ texts = st.text(_pool, max_size=80)
 
 @given(texts)
 def test_partition_property(text):
-    tokens = segment(text)
-    assert "".join(t.text for t in tokens) == text
-    assert all(t.text for t in tokens)
+    pieces = split(text)
+    assert "".join(piece for _, piece in pieces) == text
+    assert all(piece for _, piece in pieces)
+    kinds = [kind for kind, _ in pieces]
+    assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
 
 @given(texts)
 def test_stability_property(text):
-    tokens = segment(text)
-    assert segment("".join(t.text for t in tokens)) == tokens
+    # Each piece split on its own is that same piece again.
+    for kind, piece in split(text):
+        assert split(piece) == [(kind, piece)]
 
 
 @given(texts)
 def test_token_purity(text):
-    for token in segment(text):
-        if token.kind is TokenKind.WORD:
-            assert not any(c.isspace() for c in token.text)
-            assert any(classify_char(c) is CharClass.KURDISH_LATIN_LETTER for c in token.text)
-        elif token.kind is TokenKind.SPACE:
-            assert all(c.isspace() for c in token.text)
+    pieces = split(text)
+    for i, (kind, piece) in enumerate(pieces):
+        if kind == WORD:
+            assert all(c in KURDISH_LATIN_LETTERS or c in APOSTROPHES for c in piece)
+            assert any(c in KURDISH_LATIN_LETTERS for c in piece)
         else:
-            assert not any(c.isspace() for c in token.text)
-            assert not any(
-                classify_char(c) is CharClass.KURDISH_LATIN_LETTER for c in token.text
-            )
-
-
-@given(texts)
-def test_byte_offsets_consistent(text):
-    offset = 0
-    for token in segment(text):
-        assert token.start == offset
-        offset += len(token.text.encode("utf-8"))
+            assert not any(c in KURDISH_LATIN_LETTERS for c in piece)
+            # words are maximal: a gap neither continues the word before it
+            # nor ends in apostrophes that would lead the word after it
+            if i > 0:
+                assert piece[0] not in APOSTROPHES
+            if i + 1 < len(pieces):
+                assert piece[-1] not in APOSTROPHES
