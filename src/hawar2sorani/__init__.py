@@ -31,10 +31,8 @@ from .rules import (
     PatternTooLong,
     Rule,
     RuleError,
-    RuleMatch,
     RuleSet,
     default_rules,
-    lookup,
     parse_rules,
     serialize_rules,
 )

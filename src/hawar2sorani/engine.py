@@ -1,8 +1,8 @@
 """Transliteration engine: one pass that rewrites each word of a text.
 
 A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter. Each word is case-folded and rewritten left to right by
-longest-match lookup with positional context; every other character gets the
+least one letter. Each word is case-folded and rewritten by its RuleSet's
+compiled rule table (see rules.py); every other character gets the
 configured punctuation and digit mapping or passes through. No rule context
 crosses a word boundary and words never cross lines, so line-by-line
 processing gives byte-identical output to whole-text processing.
@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .alphabets import APOSTROPHES, CANONICAL_APOSTROPHE, KURDISH_LATIN_LETTERS
-from .rules import RuleSet, lookup
+from .rules import RuleSet
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -96,43 +96,13 @@ def transliterate_word(
 def _word_entry(word: str, rs: RuleSet) -> tuple:
     """Compute and cache (output, first unmatched folded index or -1, unmatched char)."""
     folded = fold_word(word)
-    exception = rs.exceptions.get(folded)
-    if exception is not None:
-        entry = (exception, -1, "")
-    else:
-        output, unmatched = _apply_rules(folded, rs)
-        entry = (output, unmatched, folded[unmatched] if unmatched >= 0 else "")
+    output, unmatched = rs._rewrite(folded)
+    entry = (output, unmatched, folded[unmatched] if unmatched >= 0 else "")
     cache = rs._word_cache
     if len(cache) >= _CACHE_LIMIT:
         cache.clear()
     cache[word] = entry
     return entry
-
-
-def _apply_rules(folded: str, rs: RuleSet) -> tuple:
-    """Greedy left-to-right application; returns (output, first unmatched index or -1)."""
-    vowels = rs.latin_vowels
-    out = []
-    unmatched = -1
-    pos = 0
-    end = len(folded)
-    while pos < end:
-        match = lookup(
-            rs,
-            folded,
-            pos,
-            is_word_initial=pos == 0,
-            prev_is_vowel=pos > 0 and folded[pos - 1] in vowels,
-        )
-        if match is None:
-            if unmatched < 0:
-                unmatched = pos
-            out.append(folded[pos])
-            pos += 1
-        else:
-            out.append(match.rule.output)
-            pos += match.consumed
-    return "".join(out), unmatched
 
 
 _PUNCT_TO_ARABIC = str.maketrans({",": "،", ";": "؛", "?": "؟"})

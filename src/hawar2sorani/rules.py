@@ -1,10 +1,9 @@
 """Rule model, rule-file format, and the built-in Hawar-to-Sorani table.
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
-output under a positional condition. At every position the winning rule is
-chosen by longest pattern, then context specificity, then table order, so a
-digraph like "ll" always beats two single "l" matches and a post-vowel
-variant beats the plain mapping exactly where its condition holds.
+output under a positional condition. Each RuleSet compiles its rules once into
+one regular expression that rewrites a case-folded word left to right; the
+compile step (``_compile``) is the one place that states which rule wins.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -15,10 +14,12 @@ with context one of ``any``, ``initial``, ``after_vowel``, ``final``, or
 for empty output, and optional ``@version`` / ``@vowels`` directives.
 """
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .alphabets import ARABIC_LETTERS, HAWAR_VOWELS, LATIN_RULE_CHARS
 
@@ -27,6 +28,9 @@ class RuleError(ValueError):
     """Invalid rule definition or rule file."""
 
     code = "RuleError"
+    # What a RuleSet-level error is about: a rule's index, an exception word,
+    # or None for the vowel set. parse_rules maps it back to a line.
+    entry = None
 
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
@@ -73,6 +77,19 @@ class OutputTooLong(RuleError):
         super().__init__(f"output {output!r} is longer than three characters", line)
 
 
+def _on_line(error: RuleError, line: int) -> RuleError:
+    """``error`` with the 1-based rule-file line it was raised for."""
+    error.line = line
+    error.args = (f"{error.args[0]} (line {line})",)
+    return error
+
+
+def _check_chars(text: str, allowed: frozenset, side: str) -> None:
+    for ch in text:
+        if ch not in allowed:
+            raise IllegalCharacter(ch, side)
+
+
 class Context(Enum):
     """Positional condition for a rule, evaluated on the Latin source side."""
 
@@ -80,24 +97,6 @@ class Context(Enum):
     WORD_INITIAL = "initial"
     AFTER_VOWEL = "after_vowel"
     WORD_FINAL = "final"
-
-
-def _check_pattern(pattern: str, line: Optional[int] = None) -> None:
-    if not pattern:
-        raise MalformedLine("empty pattern", line)
-    if len(pattern) > 3:
-        raise PatternTooLong(pattern, line)
-    for ch in pattern:
-        if ch not in LATIN_RULE_CHARS:
-            raise IllegalCharacter(ch, "pattern", line)
-
-
-def _check_output(output: str, line: Optional[int] = None) -> None:
-    if len(output) > 3:
-        raise OutputTooLong(output, line)
-    for ch in output:
-        if ch not in ARABIC_LETTERS:
-            raise IllegalCharacter(ch, "output", line)
 
 
 @dataclass(frozen=True)
@@ -109,66 +108,101 @@ class Rule:
     output: str
 
     def __post_init__(self):
-        _check_pattern(self.pattern)
-        _check_output(self.output)
+        if not self.pattern:
+            raise MalformedLine("empty pattern")
+        if len(self.pattern) > 3:
+            raise PatternTooLong(self.pattern)
+        _check_chars(self.pattern, LATIN_RULE_CHARS, "pattern")
+        if len(self.output) > 3:
+            raise OutputTooLong(self.output)
+        _check_chars(self.output, ARABIC_LETTERS, "output")
+
+
+def _compile(rules: tuple, vowels: frozenset) -> tuple:
+    """One regex alternation for the whole table, plus the output of each group.
+
+    At every position ``re`` takes the first alternative that matches, so
+    sorting the alternatives fixes precedence: the longest pattern wins, then
+    a rule whose context holds beats ``any``, then the earlier rule. Each rule
+    is one capturing group, so ``match.lastindex`` names the winner; the last
+    group, whose output is None, takes a character no rule matches.
+    """
+    after_vowel = f"(?<=[{re.escape(''.join(sorted(vowels)))}])" if vowels else "(?!)"
+    anchors = {
+        Context.ANY: "{}",
+        Context.WORD_INITIAL: r"\A{}",
+        Context.AFTER_VOWEL: after_vowel + "{}",
+        Context.WORD_FINAL: r"{}\Z",
+    }
+    ranked = sorted(
+        enumerate(rules),
+        key=lambda item: (-len(item[1].pattern), item[1].context is Context.ANY, item[0]),
+    )
+    groups = [f"({anchors[rule.context].format(re.escape(rule.pattern))})" for _, rule in ranked]
+    regex = re.compile("|".join(groups + ["(.)"]), re.S)
+    return regex, (None,) + tuple(rule.output for _, rule in ranked) + (None,)
 
 
 @dataclass(frozen=True)
-class RuleMatch:
-    """A successful lookup: the rule and how many Latin characters it covers."""
-
-    rule: Rule
-    consumed: int
-
-    def __post_init__(self):
-        if self.consumed != len(self.rule.pattern):
-            raise ValueError("consumed must equal the pattern length")
-
-
-@dataclass
 class RuleSet:
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
-    Immutable after construction; safe to share across threads.
+    Immutable; safe to share across threads. Construction validates the table
+    as a whole and compiles it (see ``_compile`` for the precedence policy).
     """
 
     rules: tuple
-    exceptions: dict = field(default_factory=dict)
+    exceptions: Mapping = field(default_factory=dict)
     latin_vowels: frozenset = HAWAR_VOWELS
     version: str = "custom"
 
     def __post_init__(self):
-        self.rules = tuple(self.rules)
-        self.exceptions = dict(self.exceptions)
-        self.latin_vowels = frozenset(self.latin_vowels)
-        seen = set()
-        for rule in self.rules:
-            key = (rule.pattern, rule.context)
-            if key in seen:
-                raise DuplicateRule(rule.pattern, rule.context.value)
-            seen.add(key)
-        for word, output in self.exceptions.items():
-            for ch in word:
-                if ch not in LATIN_RULE_CHARS:
-                    raise IllegalCharacter(ch, "exception word")
-            for ch in output:
-                if ch not in ARABIC_LETTERS:
-                    raise IllegalCharacter(ch, "exception output")
-        for ch in self.latin_vowels:
-            if ch not in LATIN_RULE_CHARS:
-                raise IllegalCharacter(ch, "vowel set")
-        # First-character index with candidates pre-sorted by precedence:
-        # longer pattern first, then specific context before ANY, then table
-        # order. lookup() returns the first applicable candidate.
-        buckets: dict = {}
-        for order, rule in enumerate(self.rules):
-            key = (-len(rule.pattern), rule.context is Context.ANY, order)
-            buckets.setdefault(rule.pattern[0], []).append((key, rule))
-        self._index = {
-            ch: tuple(rule for _, rule in sorted(cands, key=lambda item: item[0]))
-            for ch, cands in buckets.items()
-        }
-        self._word_cache: dict = {}
+        rules = tuple(self.rules)
+        exceptions = MappingProxyType(dict(self.exceptions))
+        vowels = frozenset(self.latin_vowels)
+        entry = None
+        try:
+            _check_chars("".join(sorted(vowels)), LATIN_RULE_CHARS, "vowel set")
+            seen = set()
+            for entry, rule in enumerate(rules):
+                if (rule.pattern, rule.context) in seen:
+                    raise DuplicateRule(rule.pattern, rule.context.value)
+                seen.add((rule.pattern, rule.context))
+            for word, output in exceptions.items():
+                entry = word
+                if not word:
+                    raise MalformedLine("empty exception word")
+                _check_chars(word, LATIN_RULE_CHARS, "exception word")
+                _check_chars(output, ARABIC_LETTERS, "exception output")
+        except RuleError as error:
+            error.entry = entry
+            raise
+        set_attribute = object.__setattr__
+        set_attribute(self, "rules", rules)
+        set_attribute(self, "exceptions", exceptions)
+        set_attribute(self, "latin_vowels", vowels)
+        regex, outputs = _compile(rules, vowels)
+        set_attribute(self, "_regex", regex)
+        set_attribute(self, "_outputs", outputs)
+        # Transliterated words memoized by the engine, keyed on the raw word.
+        set_attribute(self, "_word_cache", {})
+
+    def _rewrite(self, folded: str) -> tuple:
+        """(output, index of the first unmatched character or -1) for a folded word."""
+        exception = self.exceptions.get(folded)
+        if exception is not None:
+            return exception, -1
+        outputs = self._outputs
+        out = []
+        unmatched = -1
+        for match in self._regex.finditer(folded):
+            output = outputs[match.lastindex]
+            if output is None:
+                output = match.group()
+                if unmatched < 0:
+                    unmatched = match.start()
+            out.append(output)
+        return "".join(out), unmatched
 
     def coverage_gaps(self) -> list:
         """Alphabet letters or required outputs this table fails to cover.
@@ -192,40 +226,6 @@ class RuleSet:
         return gaps
 
 
-def lookup(
-    rs: RuleSet,
-    word: str,
-    pos: int,
-    *,
-    is_word_initial: bool,
-    prev_is_vowel: bool,
-) -> Optional[RuleMatch]:
-    """Winning rule at ``pos`` in ``word``, or ``None`` if nothing matches.
-
-    Precedence: longest pattern, then a context-specific rule whose condition
-    holds beats ``any``, then earliest table order. ``word`` must already be
-    lowercase NFC; 0 <= pos < len(word).
-    """
-    candidates = rs._index.get(word[pos])
-    if candidates is None:
-        return None
-    end = len(word)
-    for rule in candidates:
-        pattern = rule.pattern
-        if not word.startswith(pattern, pos):
-            continue
-        context = rule.context
-        if context is Context.ANY:
-            return RuleMatch(rule, len(pattern))
-        if context is Context.WORD_INITIAL and is_word_initial:
-            return RuleMatch(rule, len(pattern))
-        if context is Context.AFTER_VOWEL and prev_is_vowel:
-            return RuleMatch(rule, len(pattern))
-        if context is Context.WORD_FINAL and pos + len(pattern) == end:
-            return RuleMatch(rule, len(pattern))
-    return None
-
-
 # Rule-file syntax.
 EMPTY_OUTPUT_MARK = "∅"
 EXCEPTION_CONTEXT_TOKEN = "word"
@@ -241,12 +241,11 @@ def parse_rules(text: str) -> RuleSet:
     text = unicodedata.normalize("NFC", text)
     rules = []
     exceptions: dict = {}
-    seen = set()
+    lines: dict = {}  # RuleError.entry -> the line that defined the entry
     version = "custom"
     vowels = HAWAR_VOWELS
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
+        stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("@"):
@@ -255,14 +254,12 @@ def parse_rules(text: str) -> RuleSet:
             if name == "@version" and value:
                 version = value
             elif name == "@vowels" and value:
-                for ch in value:
-                    if ch not in LATIN_RULE_CHARS:
-                        raise IllegalCharacter(ch, "vowel set", lineno)
                 vowels = frozenset(value)
+                lines[None] = lineno
             else:
                 raise MalformedLine(f"bad directive {stripped!r}", lineno)
             continue
-        fields = line.split("\t")
+        fields = raw.split("\t")
         if len(fields) != 3:
             raise MalformedLine(
                 f"expected pattern<TAB>context<TAB>output, got {stripped!r}", lineno
@@ -275,28 +272,23 @@ def parse_rules(text: str) -> RuleSet:
         if output == EMPTY_OUTPUT_MARK:
             output = ""
         if context_token == EXCEPTION_CONTEXT_TOKEN:
-            if not pattern:
-                raise MalformedLine("empty exception word", lineno)
-            for ch in pattern:
-                if ch not in LATIN_RULE_CHARS:
-                    raise IllegalCharacter(ch, "exception word", lineno)
-            for ch in output:
-                if ch not in ARABIC_LETTERS:
-                    raise IllegalCharacter(ch, "exception output", lineno)
             if pattern in exceptions:
                 raise DuplicateRule(pattern, EXCEPTION_CONTEXT_TOKEN, lineno)
             exceptions[pattern] = output
+            lines[pattern] = lineno
             continue
         context = _CONTEXT_TOKENS.get(context_token)
         if context is None:
             raise MalformedLine(f"unknown context {context_token!r}", lineno)
-        _check_pattern(pattern, lineno)
-        _check_output(output, lineno)
-        if (pattern, context) in seen:
-            raise DuplicateRule(pattern, context_token, lineno)
-        seen.add((pattern, context))
-        rules.append(Rule(pattern, context, output))
-    return RuleSet(tuple(rules), exceptions, vowels, version)
+        try:
+            rules.append(Rule(pattern, context, output))
+        except RuleError as error:
+            raise _on_line(error, lineno)
+        lines[len(rules) - 1] = lineno
+    try:
+        return RuleSet(tuple(rules), exceptions, vowels, version)
+    except RuleError as error:
+        raise _on_line(error, lines[error.entry])
 
 
 def serialize_rules(rs: RuleSet) -> str:
@@ -323,7 +315,7 @@ _INI = Context.WORD_INITIAL
 _AFV = Context.AFTER_VOWEL
 
 # Built-in Hawar-to-Sorani table. Geminate digraphs are listed first for
-# readability only; lookup() ranks by pattern length regardless of order.
+# readability only; _compile ranks by pattern length regardless of order.
 _DEFAULT_TABLE = (
     ("ll", _ANY, "ڵ"),  # velarized l
     ("rr", _ANY, "ڕ"),  # trilled r
@@ -390,4 +382,4 @@ _DEFAULT_EXCEPTIONS = {
 def default_rules() -> RuleSet:
     """The built-in Hawar-to-Sorani table with its exception lexicon."""
     rules = tuple(Rule(pattern, context, output) for pattern, context, output in _DEFAULT_TABLE)
-    return RuleSet(rules, dict(_DEFAULT_EXCEPTIONS), HAWAR_VOWELS, DEFAULT_VERSION)
+    return RuleSet(rules, _DEFAULT_EXCEPTIONS, HAWAR_VOWELS, DEFAULT_VERSION)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -13,14 +14,13 @@ from hawar2sorani.rules import (
     OutputTooLong,
     PatternTooLong,
     Rule,
-    RuleMatch,
     RuleSet,
     default_rules,
-    lookup,
     parse_rules,
     serialize_rules,
 )
-from helpers import naive_lookup
+from hawar2sorani.engine import UnmatchedCharacter, transliterate_word
+from helpers import naive_parse
 
 
 # ---------------------------------------------------------------- parsing
@@ -37,8 +37,9 @@ def test_parse_keeps_file_order():
 
 
 def test_parse_rejects_duplicate():
-    with pytest.raises(DuplicateRule):
+    with pytest.raises(DuplicateRule) as exc_info:
         parse_rules("b\tany\tب\nb\tany\tب")
+    assert exc_info.value.line == 2
 
 
 def test_parse_same_pattern_other_context_ok():
@@ -121,8 +122,28 @@ def test_parse_word_exception_line():
 
 
 def test_parse_duplicate_exception():
-    with pytest.raises(DuplicateRule):
+    with pytest.raises(DuplicateRule) as exc_info:
         parse_rules("û\tword\tو\nû\tword\tوو")
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize(
+    ("text", "error", "line"),
+    [
+        ("b\tany\tب\n@vowels a1\n", IllegalCharacter, 2),
+        ("b\tany\tب\nt\tany\tت\nb\tany\tپ\nt\tany\tپ", DuplicateRule, 3),
+        ("b\tany\tب\nx1\tword\tخ", IllegalCharacter, 2),
+        ("b\tany\tب\nxa\tword\tب\nax\tword\tb", IllegalCharacter, 3),
+        ("b\tany\tب\n\tword\tب", MalformedLine, 2),
+    ],
+)
+def test_parse_table_errors_name_their_line(text, error, line):
+    # Errors found when the whole table is built still name the line of the
+    # entry at fault, in the message too.
+    with pytest.raises(error) as exc_info:
+        parse_rules(text)
+    assert exc_info.value.line == line
+    assert str(exc_info.value).endswith(f"(line {line})")
 
 
 def test_parse_normalizes_nfc():
@@ -147,11 +168,25 @@ def test_ruleset_rejects_duplicates():
         RuleSet((Rule("b", Context.ANY, "ب"), Rule("b", Context.ANY, "پ")))
 
 
-def test_rulematch_consumed_must_match():
-    rule = Rule("ll", Context.ANY, "ڵ")
-    assert RuleMatch(rule, 2).consumed == 2
-    with pytest.raises(ValueError):
-        RuleMatch(rule, 1)
+def test_ruleset_is_frozen(rs):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rs.rules = (Rule("b", Context.ANY, "پ"),)
+    assert transliterate_word("bab", rs) == "باب"
+
+
+def test_ruleset_exceptions_are_read_only():
+    exceptions = {"û": "و"}
+    table = RuleSet((Rule("m", Context.ANY, "م"), Rule("n", Context.ANY, "ن")), exceptions)
+    exceptions["mn"] = "ب"  # the caller's dict is copied, not shared
+    with pytest.raises(TypeError):
+        table.exceptions["mn"] = "ب"
+    assert table.exceptions == {"û": "و"}
+    assert transliterate_word("mn", table) == transliterate_word("Mn", table) == "من"
+
+
+def test_ruleset_rejects_empty_exception_word():
+    with pytest.raises(MalformedLine):
+        RuleSet((), {"": "ب"})
 
 
 # -------------------------------------------------------------- defaults
@@ -229,43 +264,49 @@ def test_round_trip_property(ruleset):
     assert parse_rules(serialize_rules(ruleset)) == ruleset
 
 
-# ---------------------------------------------------------------- lookup
+# ------------------------------------------------------- rule precedence
+# Precedence is checked through the engine: the output, and the index of the
+# first unmatched character as strict mode reports it.
+
+def _parse(word, table):
+    """(output, index of the first unmatched character or -1) for a word."""
+    try:
+        transliterate_word(word, table, strict=True)
+        unmatched = -1
+    except UnmatchedCharacter as exc:
+        unmatched = exc.offset
+    return transliterate_word(word, table), unmatched
+
 
 def test_lookup_prefers_digraph_over_single(rs):
-    match = lookup(rs, "dillop", 2, is_word_initial=False, prev_is_vowel=False)
-    assert match.rule.pattern == "ll"
-    assert match.rule.output == "ڵ"
-    assert match.consumed == 2
+    assert _parse("dillop", rs) == ("دڵۆپ", -1)  # not دللۆپ
 
 
 def test_lookup_bizroke(rs):
-    match = lookup(rs, "min", 1, is_word_initial=False, prev_is_vowel=False)
-    assert match.rule.output == ""
-    assert match.consumed == 1
+    assert _parse("min", rs) == ("من", -1)
 
 
 def test_lookup_post_vowel_carrier(rs):
-    match = lookup(rs, "diînine", 2, is_word_initial=False, prev_is_vowel=True)
-    assert match.rule.context is Context.AFTER_VOWEL
-    assert match.rule.output == "ئی"
+    assert _parse("diînine", rs) == ("دئیننە", -1)
+    assert _parse("dîn", rs) == ("دین", -1)  # î after a consonant: no carrier
 
 
 def test_lookup_initial_beats_any(rs):
-    match = lookup(rs, "a", 0, is_word_initial=True, prev_is_vowel=False)
-    assert match.rule.context is Context.WORD_INITIAL
-    assert match.rule.output == "ئا"
+    assert _parse("a", rs) == ("ئا", -1)
+    assert _parse("ba", rs) == ("با", -1)
 
 
 def test_lookup_none_for_foreign_char(rs):
-    assert lookup(rs, "mot", 1, is_word_initial=False, prev_is_vowel=False) is not None
-    assert lookup(rs, "m0t", 1, is_word_initial=False, prev_is_vowel=False) is None
+    assert _parse("mot", rs) == ("مۆت", -1)
+    assert _parse("m0t", rs) == ("م0ت", 1)
 
 
 def test_lookup_completeness_all_letters_all_flags(rs):
+    # Each letter word-initially, after a vowel, after a consonant and
+    # word-finally.
     for letter in sorted(LATIN_RULE_CHARS):
-        for initial, after_vowel in itertools.product([False, True], repeat=2):
-            match = lookup(rs, letter, 0, is_word_initial=initial, prev_is_vowel=after_vowel)
-            assert match is not None, (letter, initial, after_vowel)
+        for word in (letter, letter + "b", "a" + letter, "b" + letter):
+            assert _parse(word, rs)[1] == -1, word
 
 
 _WORD_FINAL_SET = RuleSet(
@@ -277,34 +318,35 @@ _WORD_FINAL_SET = RuleSet(
         Rule("a", Context.ANY, "ا"),
         Rule("i", Context.ANY, ""),
         Rule("m", Context.ANY, "م"),
+        Rule("ima", Context.WORD_INITIAL, "ئەم"),
+        Rule("ian", Context.WORD_FINAL, "یان"),
     )
 )
 
 
-@given(
-    st.text(st.sampled_from("amin"), min_size=1, max_size=6),
-    st.data(),
-)
-def test_lookup_matches_naive_scan(word, data):
-    pos = data.draw(st.integers(min_value=0, max_value=len(word) - 1))
-    initial = pos == 0
-    after_vowel = pos > 0 and word[pos - 1] in _WORD_FINAL_SET.latin_vowels
-    fast = lookup(_WORD_FINAL_SET, word, pos, is_word_initial=initial, prev_is_vowel=after_vowel)
-    slow = naive_lookup(_WORD_FINAL_SET, word, pos, initial, after_vowel)
-    if slow is None:
-        assert fast is None
-    else:
-        assert fast.rule == slow and fast.consumed == len(slow.pattern)
+@given(st.text(st.sampled_from("aminx"), min_size=1, max_size=8))
+def test_lookup_matches_naive_scan(word):
+    assert _parse(word, _WORD_FINAL_SET) == naive_parse(word, _WORD_FINAL_SET)
+
+
+def _assert_matches_naive_parse_exhaustive(table):
+    # Every word of length up to 3 over the rule alphabet plus one character
+    # no rule matches.
+    alphabet = sorted(LATIN_RULE_CHARS) + ["0"]
+    for length in range(1, 4):
+        for chars in itertools.product(alphabet, repeat=length):
+            word = "".join(chars)
+            assert _parse(word, table) == naive_parse(word, table), word
 
 
 def test_lookup_matches_naive_scan_on_default_exhaustive(rs):
-    # Exhaustive 3-letter words over a mixed sub-alphabet, every position.
-    alphabet = "lraî'"
-    for chars in itertools.product(alphabet, repeat=3):
-        word = "".join(chars)
-        for pos in range(3):
-            initial = pos == 0
-            after_vowel = pos > 0 and word[pos - 1] in rs.latin_vowels
-            fast = lookup(rs, word, pos, is_word_initial=initial, prev_is_vowel=after_vowel)
-            slow = naive_lookup(rs, word, pos, initial, after_vowel)
-            assert (fast.rule if fast else None) == slow, (word, pos)
+    _assert_matches_naive_parse_exhaustive(rs)
+
+
+def test_synthetic_table_matches_naive_scan_exhaustive():
+    _assert_matches_naive_parse_exhaustive(_WORD_FINAL_SET)
+
+
+def test_empty_vowel_set_never_fires_after_vowel():
+    table = RuleSet(_WORD_FINAL_SET.rules, latin_vowels=frozenset())
+    assert _parse("aa", table) == naive_parse("aa", table) == ("اا", -1)
