@@ -6,18 +6,19 @@ line length rather than file size. ``translit check [CORPUS]`` runs the
 regression harness over tab-separated (latin, expected) pairs and exits
 nonzero when any pair disagrees.
 
-Exit codes: 0 success, 1 corpus-check failures, 2 unreadable or invalid
-input, 3 rule-file errors, 4 unmatched character in --strict mode. A run
-that fails leaves an existing output file as it was and creates none.
+Exit codes: 0 success, 1 corpus-check failures, 2 an input or output file
+cannot be read or written, or invalid UTF-8, 3 rule-file errors, 4 unmatched
+character in --strict mode. A run that fails leaves an existing output file
+as it was and creates none.
 """
 
 import argparse
+import contextlib
 import os
 import stat
 import sys
 import tempfile
 import unicodedata
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
@@ -55,22 +56,8 @@ class InvalidInputBytes(ValueError):
         super().__init__(f"invalid UTF-8 at byte offset {offset}: {reason}")
 
 
-@dataclass(frozen=True)
-class CorpusPair:
-    latin: str
-    arabic_expected: str
-    line: int  # 1-based source line
-
-
-@dataclass
-class CheckReport:
-    total: int = 0
-    passed: int = 0
-    failures: list = field(default_factory=list)  # (line, latin, expected, actual)
-
-
 def load_corpus(text: str) -> list:
-    """Parse corpus text into CorpusPair entries.
+    """Parse corpus text into (line, latin, expected) tuples, line 1-based.
 
     One pair per line, exactly one TAB between the Latin input and the
     expected output; ``#`` comments and blank lines are skipped. Both fields
@@ -88,28 +75,24 @@ def load_corpus(text: str) -> list:
         if not latin or not expected:
             raise MalformedPairLine(lineno, "empty field")
         pairs.append(
-            CorpusPair(
-                unicodedata.normalize("NFC", latin),
-                unicodedata.normalize("NFC", expected),
-                lineno,
-            )
+            (lineno, unicodedata.normalize("NFC", latin), unicodedata.normalize("NFC", expected))
         )
     return pairs
 
 
-def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> CheckReport:
-    """Transliterate every pair's Latin side and compare NFC-exact."""
+def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
+    """Transliterate every pair's Latin side and compare NFC-exact.
+
+    Returns (number of pairs, failures as (line, latin, expected, actual)).
+    """
     with open(path, "r", encoding="utf-8") as handle:
         pairs = load_corpus(handle.read())
-    report = CheckReport()
-    for pair in pairs:
-        actual = unicodedata.normalize("NFC", transliterate_text(pair.latin, rs, cfg))
-        report.total += 1
-        if actual == pair.arabic_expected:
-            report.passed += 1
-        else:
-            report.failures.append((pair.line, pair.latin, pair.arabic_expected, actual))
-    return report
+    failures = []
+    for line, latin, expected in pairs:
+        actual = unicodedata.normalize("NFC", transliterate_text(latin, rs, cfg))
+        if actual != expected:
+            failures.append((line, latin, expected, actual))
+    return len(pairs), failures
 
 
 def seed_corpus_path() -> str:
@@ -214,12 +197,20 @@ def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> No
     outfile.flush()
 
 
-def _open_output(target: str) -> tuple:
-    """Open a temporary file beside ``target`` to be renamed over it on success.
+@contextlib.contextmanager
+def _output(path: str):
+    """Binary output for ``path`` that replaces an existing file only on success.
 
-    Returns (file, temporary path). A target that exists but is not a regular
-    file, such as /dev/null, is opened directly and the path is None.
+    ``-`` is stdout. A path that exists but is not a regular file, such as
+    /dev/null, is opened directly. Anything else is written to a temporary
+    file beside the target (a symlink's file, not the link) that takes the
+    target's mode, is renamed over it when the block succeeds and is removed
+    when the block raises.
     """
+    if path == "-":
+        yield sys.stdout.buffer
+        return
+    target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
     except FileNotFoundError:
@@ -228,58 +219,38 @@ def _open_output(target: str) -> tuple:
         mode = 0o666 & ~umask
     else:
         if not stat.S_ISREG(mode):
-            return open(target, "wb"), None
+            with open(target, "wb") as outfile:
+                yield outfile
+            return
     fd, tmp = tempfile.mkstemp(prefix=".translit-", dir=os.path.dirname(target))
-    os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp creates the file 0600
-    return os.fdopen(fd, "wb"), tmp
+    try:
+        with os.fdopen(fd, "wb") as outfile:
+            os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp creates the file 0600
+            yield outfile
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _run_transliterate(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
-    infile = outfile = tmp = None
-    try:
-        try:
-            infile = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-            if args.output == "-":
-                outfile = sys.stdout.buffer
-            else:
-                target = os.path.realpath(args.output)  # replace a symlink's file, not the link
-                outfile, tmp = _open_output(target)
-        except OSError as exc:
-            print(f"translit: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            _stream(infile, outfile, rs, cfg, args.strict)
-        except InvalidInputBytes as exc:
-            print(f"translit: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except UnmatchedCharacter as exc:
-            print(f"translit: {exc}", file=sys.stderr)  # names line:column
-            return EXIT_STRICT
-        if tmp is not None:
-            outfile.close()
-            os.replace(tmp, target)
-            tmp = None
-    finally:
-        if infile is not None and infile is not sys.stdin.buffer:
-            infile.close()
-        if outfile is not None and outfile is not sys.stdout.buffer:
-            outfile.close()
-        if tmp is not None:
-            os.unlink(tmp)
+    # The input opens first, so a missing input creates no output file.
+    if args.input == "-":
+        infile = contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        infile = open(args.input, "rb")
+    with infile as source, _output(args.output) as sink:
+        _stream(source, sink, rs, cfg, args.strict)
     return EXIT_OK
 
 
 def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
     corpus = args.corpus if args.corpus is not None else seed_corpus_path()
-    try:
-        report = check_corpus(corpus, rs, cfg)
-    except (OSError, UnicodeDecodeError, MalformedPairLine) as exc:
-        print(f"translit: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for line, latin, expected, actual in report.failures:
+    total, failures = check_corpus(corpus, rs, cfg)
+    for line, latin, expected, actual in failures:
         print(f"line {line}: {latin!r} -> {actual!r} (expected {expected!r})")
-    print(f"check: {report.passed}/{report.total} pairs passed")
-    return EXIT_CHECK_FAILED if report.failures else EXIT_OK
+    print(f"check: {total - len(failures)}/{total} pairs passed")
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def run(argv: Optional[list] = None) -> int:
@@ -294,7 +265,14 @@ def run(argv: Optional[list] = None) -> int:
     except (RuleError, OSError, UnicodeDecodeError) as exc:
         print(f"translit: {exc}", file=sys.stderr)
         return EXIT_RULES
-    return command(args, rs, _config_from_args(args))
+    try:
+        return command(args, rs, _config_from_args(args))
+    except UnmatchedCharacter as exc:
+        print(f"translit: {exc}", file=sys.stderr)  # names line:column
+        return EXIT_STRICT
+    except (OSError, UnicodeDecodeError, InvalidInputBytes, MalformedPairLine) as exc:
+        print(f"translit: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def main() -> None:

@@ -54,12 +54,16 @@ class UnmatchedCharacter(ValueError):
         line: Optional[int] = None,
         column: Optional[int] = None,
     ):
+        # All four go to args, so the exception unpickles in another process.
+        super().__init__(char, offset, line, column)
         self.char = char
         self.offset = offset
         self.line = line
         self.column = column
-        where = f"{line}:{column}" if line is not None else f"offset {offset}"
-        super().__init__(f"no rule matches {char!r} at {where}")
+
+    def __str__(self) -> str:
+        where = f"{self.line}:{self.column}" if self.line is not None else f"offset {self.offset}"
+        return f"no rule matches {self.char!r} at {where}"
 
 
 _APOSTROPHE_FOLD = str.maketrans({"’": CANONICAL_APOSTROPHE, "ʼ": CANONICAL_APOSTROPHE})

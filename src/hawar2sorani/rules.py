@@ -204,26 +204,10 @@ class RuleSet:
             out.append(output)
         return "".join(out), unmatched
 
-    def coverage_gaps(self) -> list:
-        """Alphabet letters or required outputs this table fails to cover.
-
-        Empty for a complete table. A letter counts as covered only by an
-        ``any`` rule: position-restricted rules alone leave gaps.
-        """
-        gaps = []
-        any_covered = {
-            rule.pattern
-            for rule in self.rules
-            if len(rule.pattern) == 1 and rule.context is Context.ANY
-        }
-        for letter in sorted(LATIN_RULE_CHARS):
-            if letter not in any_covered:
-                gaps.append(f"no position-independent rule for {letter!r}")
-        emitted = "".join(rule.output for rule in self.rules)
-        for ch in "حعغ":
-            if ch not in emitted:
-                gaps.append(f"no rule emits {ch!r}")
-        return gaps
+    def __reduce__(self):
+        # Rebuilt through the constructor: the read-only exceptions view does
+        # not pickle, and the copy compiles its own regex with an empty memo.
+        return RuleSet, (self.rules, dict(self.exceptions), self.latin_vowels, self.version)
 
 
 # Rule-file syntax.

@@ -1,6 +1,8 @@
+import errno
 import io
 import os
 import stat
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -127,11 +129,21 @@ def test_streaming_many_batches(tmp_path, monkeypatch, capsys, rs, batch_bytes):
 
 @pytest.mark.parametrize(
     ("data", "status"),
-    [("ban\nbaq\n".encode(), EXIT_STRICT), (b"ban\nb\xffa\n", EXIT_INPUT)],
+    [
+        ("ban\nbaq\n".encode(), EXIT_STRICT),
+        (b"ban\nb\xffa\n", EXIT_INPUT),
+        (b"ban\nnab\n", EXIT_INPUT),  # OSError on the second batch
+    ],
 )
 def test_failed_run_leaves_output_alone(tmp_path, monkeypatch, data, status):
+    def transliterate_or_fail(text, *args, **kwargs):
+        if text == "nab\n":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return transliterate_text(text, *args, **kwargs)
+
     # one line per batch, so the first line is written before the failure
     monkeypatch.setattr(cli, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(cli, "transliterate_text", transliterate_or_fail)
     rules = _write(tmp_path / "tiny.rules", TINY_RULES)
     src = _write(tmp_path / "in.txt", data)
     dst = tmp_path / "out.txt"
@@ -155,6 +167,45 @@ def test_output_keeps_mode_and_follows_symlink(tmp_path):
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "من\n"
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
+def _run_cli_process(argv, stdout_bytes=None):
+    """(exit status, stderr) of ``python -m hawar2sorani.cli`` in a new process.
+
+    With ``stdout_bytes`` set, stdout is a pipe closed after that many bytes.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hawar2sorani.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL if stdout_bytes is None else subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if stdout_bytes is not None:
+        assert len(proc.stdout.read(stdout_bytes)) == stdout_bytes
+        proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err.decode("utf-8")
+
+
+def _assert_one_diagnostic(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("translit: "), err
+
+
+def test_closed_stdout_exits_2(tmp_path):
+    src = _write(tmp_path / "in.txt", "min û tu, rojbaş.\n" * 60_000)  # 1.2 MB
+    status, err = _run_cli_process([src], stdout_bytes=10)
+    assert status == EXIT_INPUT
+    _assert_one_diagnostic(err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_2(tmp_path):
+    src = _write(tmp_path / "in.txt", "min\n")
+    status, err = _run_cli_process([src, "-o", "/dev/full"])
+    assert status == EXIT_INPUT
+    _assert_one_diagnostic(err)
 
 
 def test_digit_and_punct_flags(tmp_path):
@@ -223,15 +274,15 @@ def test_check_respects_flags(tmp_path, capsys):
 
 def test_load_corpus_pairs():
     pairs = load_corpus("min\tمن\nmin û tu\tمن و تو\n")
-    assert [(p.latin, p.arabic_expected, p.line) for p in pairs] == [
-        ("min", "من", 1),
-        ("min û tu", "من و تو", 2),
+    assert pairs == [
+        (1, "min", "من"),
+        (2, "min û tu", "من و تو"),
     ]
 
 
 def test_load_corpus_nfc_normalizes():
     pairs = load_corpus("ḧeft\tحەفت\n")
-    assert pairs[0].latin == "ḧeft"
+    assert pairs[0][1] == "ḧeft"
 
 
 def test_load_corpus_rejects_double_tab():
@@ -247,10 +298,9 @@ def test_load_corpus_rejects_empty_field():
 
 def test_check_corpus_report_shape(tmp_path, rs, cfg):
     corpus = _write(tmp_path / "pairs.tsv", "min\tمن\ntu\tWRONG\n")
-    report = check_corpus(corpus, rs, cfg)
-    assert (report.total, report.passed) == (2, 1)
-    assert len(report.failures) == report.total - report.passed
-    line, latin, expected, actual = report.failures[0]
+    total, failures = check_corpus(corpus, rs, cfg)
+    assert (total, total - len(failures)) == (2, 1)
+    line, latin, expected, actual = failures[0]
     assert (line, latin, actual) == (2, "tu", "تو")
 
 

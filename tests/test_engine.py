@@ -1,4 +1,6 @@
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -83,6 +85,25 @@ def test_word_strict_raises():
         transliterate_word("baq", tiny, strict=True)
     assert exc_info.value.char == "q"
     assert exc_info.value.offset == 2
+
+
+def test_unmatched_character_pickles():
+    error = UnmatchedCharacter("q", 2, 5, 7)
+    copy = pickle.loads(pickle.dumps(error))
+    assert (copy.char, copy.offset, copy.line, copy.column) == ("q", 2, 5, 7)
+    assert str(copy) == str(error) == "no rule matches 'q' at 5:7"
+    copy = pickle.loads(pickle.dumps(UnmatchedCharacter("q", 2)))
+    assert str(copy) == "no rule matches 'q' at offset 2"
+
+
+def test_strict_error_reaches_parent_process():
+    tiny = parse_rules("b\tany\tب\na\tany\tا")
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        future = pool.submit(transliterate_text, "baq", tiny, strict=True)
+        with pytest.raises(UnmatchedCharacter) as exc_info:
+            future.result(timeout=60)
+    assert (exc_info.value.char, exc_info.value.line, exc_info.value.column) == ("q", 1, 3)
 
 
 def test_word_strict_cache_interaction():

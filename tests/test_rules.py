@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -210,21 +211,18 @@ def test_default_exception_lexicon(rs):
     assert rs.exceptions == {"û": "و"}
 
 
-def test_default_has_no_coverage_gaps(rs):
-    assert rs.coverage_gaps() == []
-
-
-def test_coverage_gaps_reports_missing():
-    rs = parse_rules("b\tany\tب")
-    gaps = rs.coverage_gaps()
-    assert any("'a'" in gap for gap in gaps)
-    assert any("'ح'" in gap for gap in gaps)
-
-
 # ------------------------------------------------------------ round trip
 
 def test_default_round_trips_exactly(rs):
     assert parse_rules(serialize_rules(rs)) == rs
+
+
+def test_ruleset_pickles(rs):
+    transliterate_word("min", rs)  # the original's word memo is not empty
+    copy = pickle.loads(pickle.dumps(rs))
+    assert copy == rs
+    assert copy._word_cache == {}
+    assert transliterate_word("min", copy) == "من"
 
 
 def test_synthetic_round_trip_with_three_to_three():
