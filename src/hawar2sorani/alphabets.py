@@ -19,7 +19,7 @@ HAWAR_VOWELS = frozenset("aeêiîouû")
 
 # Both cases, for the engine's word pattern. The target script is caseless, so the
 # engine folds case before matching.
-KURDISH_LATIN_LETTERS = LOWER_LETTERS | frozenset("ABCÇDEÊFGHIÎJKLMNOPQRSŞTUÛVWXYZḦẌ")
+KURDISH_LATIN_LETTERS = LOWER_LETTERS | {letter.upper() for letter in LOWER_LETTERS}
 
 # Sorani Persian-Arabic alphabet accepted on the output side of rules.
 ARABIC_LETTERS = frozenset("ئابپتجچحخدرڕزژسشعغفڤقکگلڵمنهەوۆیێ")

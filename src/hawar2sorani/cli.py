@@ -40,20 +40,27 @@ EXIT_STRICT = 4
 BOM = "﻿"
 
 
+# As with RuleError, ``args`` holds the reason alone, so these errors pickle.
 class MalformedPairLine(ValueError):
-    """Corpus line that is not exactly `latin<TAB>expected`."""
+    """Corpus line that is not exactly `latin<TAB>expected`; ``line`` is 1-based."""
 
-    def __init__(self, line: int, reason: str):
+    def __init__(self, reason: str, *, line: Optional[int] = None):
+        super().__init__(reason)
         self.line = line
-        super().__init__(f"MalformedPairLine: {reason} (line {line})")
+
+    def __str__(self) -> str:
+        return f"MalformedPairLine: {self.args[0]} (line {self.line})"
 
 
 class InvalidInputBytes(ValueError):
     """Input that is not valid UTF-8; ``offset`` is the global byte offset."""
 
-    def __init__(self, offset: int, reason: str):
+    def __init__(self, reason: str, *, offset: Optional[int] = None):
+        super().__init__(reason)
         self.offset = offset
-        super().__init__(f"invalid UTF-8 at byte offset {offset}: {reason}")
+
+    def __str__(self) -> str:
+        return f"invalid UTF-8 at byte offset {self.offset}: {self.args[0]}"
 
 
 def load_corpus(text: str) -> list:
@@ -70,10 +77,10 @@ def load_corpus(text: str) -> list:
         if not stripped or stripped.startswith("#"):
             continue
         if line.count("\t") != 1:
-            raise MalformedPairLine(lineno, "expected exactly one TAB")
+            raise MalformedPairLine("expected exactly one TAB", line=lineno)
         latin, expected = (f.strip() for f in line.split("\t"))
         if not latin or not expected:
-            raise MalformedPairLine(lineno, "empty field")
+            raise MalformedPairLine("empty field", line=lineno)
         pairs.append(
             (lineno, unicodedata.normalize("NFC", latin), unicodedata.normalize("NFC", expected))
         )
@@ -85,7 +92,7 @@ def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
 
     Returns (number of pairs, failures as (line, latin, expected, actual)).
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         pairs = load_corpus(handle.read())
     failures = []
     for line, latin, expected in pairs:
@@ -161,7 +168,7 @@ def _config_from_args(args: argparse.Namespace) -> EngineConfig:
 def _load_rules(path: Optional[str]) -> RuleSet:
     if path is None:
         return default_rules()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_rules(handle.read())
 
 
@@ -182,7 +189,7 @@ def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> No
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise InvalidInputBytes(consumed + exc.start, exc.reason) from None
+            raise InvalidInputBytes(exc.reason, offset=consumed + exc.start) from None
         if not consumed:
             text = text.removeprefix(BOM)
         try:

@@ -81,9 +81,7 @@ def fold_word(word: str) -> str:
 _CACHE_LIMIT = 1 << 17
 
 
-def transliterate_word(
-    word: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
-) -> str:
+def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     """Rewrite one word. Characters without a rule pass through.
 
     With ``strict`` a pass-through character raises UnmatchedCharacter

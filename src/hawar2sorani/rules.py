@@ -19,75 +19,55 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .alphabets import ARABIC_LETTERS, HAWAR_VOWELS, LATIN_RULE_CHARS
 
 
 class RuleError(ValueError):
-    """Invalid rule definition or rule file."""
+    """Invalid rule definition or rule file.
 
-    code = "RuleError"
-    # What a RuleSet-level error is about: a rule's index, an exception word,
-    # or None for the vowel set. parse_rules maps it back to a line.
-    entry = None
+    ``args`` is the message alone, so every error pickles. ``line`` is the
+    1-based rule-file line, ``entry`` what a RuleSet-level error is about (a
+    rule's index, an exception word, or None for the vowel set), and ``char``
+    and ``side`` name an illegal character and where it stood.
+    """
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(f"{self.code}: {message}")
+    def __init__(self, message: str, *, line=None, entry=None, char=None, side=None):
+        super().__init__(message)
+        self.line, self.entry, self.char, self.side = line, entry, char, side
+
+    def __str__(self) -> str:
+        where = "" if self.line is None else f" (line {self.line})"
+        return f"{type(self).__name__}: {self.args[0]}{where}"
 
 
 class MalformedLine(RuleError):
-    code = "MalformedLine"
+    pass
 
 
 class DuplicateRule(RuleError):
-    code = "DuplicateRule"
-
-    def __init__(self, pattern: str, context_name: str, line: Optional[int] = None):
-        self.pattern = pattern
-        self.context_name = context_name
-        super().__init__(f"second rule for ({pattern!r}, {context_name})", line)
+    pass
 
 
 class IllegalCharacter(RuleError):
-    code = "IllegalCharacter"
-
-    def __init__(self, char: str, side: str, line: Optional[int] = None):
-        self.char = char
-        self.side = side
-        super().__init__(f"{char!r} (U+{ord(char):04X}) not allowed in {side}", line)
+    pass
 
 
 class PatternTooLong(RuleError):
-    code = "PatternTooLong"
-
-    def __init__(self, pattern: str, line: Optional[int] = None):
-        self.pattern = pattern
-        super().__init__(f"pattern {pattern!r} is longer than three characters", line)
+    pass
 
 
 class OutputTooLong(RuleError):
-    code = "OutputTooLong"
-
-    def __init__(self, output: str, line: Optional[int] = None):
-        self.output = output
-        super().__init__(f"output {output!r} is longer than three characters", line)
+    pass
 
 
-def _on_line(error: RuleError, line: int) -> RuleError:
-    """``error`` with the 1-based rule-file line it was raised for."""
-    error.line = line
-    error.args = (f"{error.args[0]} (line {line})",)
-    return error
-
-
-def _check_chars(text: str, allowed: frozenset, side: str) -> None:
+def _check_chars(text: str, allowed: frozenset, side: str, entry=None) -> None:
     for ch in text:
         if ch not in allowed:
-            raise IllegalCharacter(ch, side)
+            raise IllegalCharacter(
+                f"{ch!r} (U+{ord(ch):04X}) not allowed in {side}", entry=entry, char=ch, side=side
+            )
 
 
 class Context(Enum):
@@ -111,10 +91,10 @@ class Rule:
         if not self.pattern:
             raise MalformedLine("empty pattern")
         if len(self.pattern) > 3:
-            raise PatternTooLong(self.pattern)
+            raise PatternTooLong(f"pattern {self.pattern!r} is longer than three characters")
         _check_chars(self.pattern, LATIN_RULE_CHARS, "pattern")
         if len(self.output) > 3:
-            raise OutputTooLong(self.output)
+            raise OutputTooLong(f"output {self.output!r} is longer than three characters")
         _check_chars(self.output, ARABIC_LETTERS, "output")
 
 
@@ -160,23 +140,19 @@ class RuleSet:
         rules = tuple(self.rules)
         exceptions = MappingProxyType(dict(self.exceptions))
         vowels = frozenset(self.latin_vowels)
-        entry = None
-        try:
-            _check_chars("".join(sorted(vowels)), LATIN_RULE_CHARS, "vowel set")
-            seen = set()
-            for entry, rule in enumerate(rules):
-                if (rule.pattern, rule.context) in seen:
-                    raise DuplicateRule(rule.pattern, rule.context.value)
-                seen.add((rule.pattern, rule.context))
-            for word, output in exceptions.items():
-                entry = word
-                if not word:
-                    raise MalformedLine("empty exception word")
-                _check_chars(word, LATIN_RULE_CHARS, "exception word")
-                _check_chars(output, ARABIC_LETTERS, "exception output")
-        except RuleError as error:
-            error.entry = entry
-            raise
+        _check_chars("".join(sorted(vowels)), LATIN_RULE_CHARS, "vowel set")
+        seen = set()
+        for index, rule in enumerate(rules):
+            if (rule.pattern, rule.context) in seen:
+                raise DuplicateRule(
+                    f"second rule for ({rule.pattern!r}, {rule.context.value})", entry=index
+                )
+            seen.add((rule.pattern, rule.context))
+        for word, output in exceptions.items():
+            if not word:
+                raise MalformedLine("empty exception word", entry=word)
+            _check_chars(word, LATIN_RULE_CHARS, "exception word", entry=word)
+            _check_chars(output, ARABIC_LETTERS, "exception output", entry=word)
         set_attribute = object.__setattr__
         set_attribute(self, "rules", rules)
         set_attribute(self, "exceptions", exceptions)
@@ -241,38 +217,42 @@ def parse_rules(text: str) -> RuleSet:
                 vowels = frozenset(value)
                 lines[None] = lineno
             else:
-                raise MalformedLine(f"bad directive {stripped!r}", lineno)
+                raise MalformedLine(f"bad directive {stripped!r}", line=lineno)
             continue
         fields = raw.split("\t")
         if len(fields) != 3:
             raise MalformedLine(
-                f"expected pattern<TAB>context<TAB>output, got {stripped!r}", lineno
+                f"expected pattern<TAB>context<TAB>output, got {stripped!r}", line=lineno
             )
         pattern, context_token, output = (f.strip() for f in fields)
         if not output:
             raise MalformedLine(
-                f"empty output field; write {EMPTY_OUTPUT_MARK} explicitly", lineno
+                f"empty output field; write {EMPTY_OUTPUT_MARK} explicitly", line=lineno
             )
         if output == EMPTY_OUTPUT_MARK:
             output = ""
         if context_token == EXCEPTION_CONTEXT_TOKEN:
             if pattern in exceptions:
-                raise DuplicateRule(pattern, EXCEPTION_CONTEXT_TOKEN, lineno)
+                raise DuplicateRule(
+                    f"second rule for ({pattern!r}, {EXCEPTION_CONTEXT_TOKEN})", line=lineno
+                )
             exceptions[pattern] = output
             lines[pattern] = lineno
             continue
         context = _CONTEXT_TOKENS.get(context_token)
         if context is None:
-            raise MalformedLine(f"unknown context {context_token!r}", lineno)
+            raise MalformedLine(f"unknown context {context_token!r}", line=lineno)
         try:
             rules.append(Rule(pattern, context, output))
         except RuleError as error:
-            raise _on_line(error, lineno)
+            error.line = lineno
+            raise
         lines[len(rules) - 1] = lineno
     try:
         return RuleSet(tuple(rules), exceptions, vowels, version)
     except RuleError as error:
-        raise _on_line(error, lines[error.entry])
+        error.line = lines[error.entry]
+        raise
 
 
 def serialize_rules(rs: RuleSet) -> str:

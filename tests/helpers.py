@@ -8,6 +8,14 @@ from hawar2sorani.engine import RLM, UnmatchedCharacter, fold_word, map_symbols
 from hawar2sorani.rules import Context, RuleSet
 
 
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the strict-mode error position as a tuple."""
+    try:
+        return fn(*args, **kwargs)
+    except UnmatchedCharacter as exc:
+        return (exc.char, exc.offset, exc.line, exc.column)
+
+
 def naive_lookup(rs: RuleSet, word: str, pos: int, is_word_initial: bool, prev_is_vowel: bool):
     """Scan the full rule list and pick the best applicable rule by the
     documented (length, specificity, table order) key. Returns the Rule."""

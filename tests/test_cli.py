@@ -1,28 +1,52 @@
 import errno
 import io
 import os
+import pickle
 import stat
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hawar2sorani import cli
+from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS
 from hawar2sorani.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_RULES,
     EXIT_STRICT,
+    InvalidInputBytes,
     MalformedPairLine,
     check_corpus,
     load_corpus,
     run,
     seed_corpus_path,
 )
-from hawar2sorani.engine import DigitMode, EngineConfig, UnmatchedCharacter, transliterate_text
-from hawar2sorani.rules import parse_rules
+from hawar2sorani.engine import (
+    DigitMode,
+    EngineConfig,
+    PunctMode,
+    UnmatchedCharacter,
+    transliterate_text,
+)
+from hawar2sorani.rules import (
+    Context,
+    DuplicateRule,
+    IllegalCharacter,
+    MalformedLine,
+    OutputTooLong,
+    PatternTooLong,
+    Rule,
+    RuleError,
+    RuleSet,
+    default_rules,
+    parse_rules,
+)
+from helpers import outcome
 
 TINY_RULES = "b\tany\tب\na\tany\tا\nn\tany\tن\n"
 
@@ -125,6 +149,65 @@ def test_streaming_many_batches(tmp_path, monkeypatch, capsys, rs, batch_bytes):
     src = _write(tmp_path / "bad.txt", "\ufeff" + bad)
     assert run(flags + ["--rules", rules, src, "-o", str(dst)]) == EXIT_STRICT
     assert "'q' at 5:7" in capsys.readouterr().err
+
+
+# Lines of both cases of every letter, NFD diaeresis and cedilla, digits and
+# the mapped punctuation, each ended by LF, CRLF, a lone CR or nothing.
+_STREAM_TEXT = st.lists(
+    st.tuples(
+        st.lists(
+            st.sampled_from(
+                sorted(KURDISH_LATIN_LETTERS)
+                + ["h\u0308", "X\u0308", "s\u0327", "C\u0327", "'", " "]
+                + list("07,.?;")
+            ),
+            max_size=12,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r", ""]),
+    ),
+    max_size=12,
+).map(lambda lines: "".join("".join(pieces) + end for pieces, end in lines))
+_DEFAULT_TABLE = default_rules()
+# Under --strict the tiny table fails on almost any word and the table
+# without ẍ on few, so that a strict error often comes lines into the text.
+_STREAM_TABLES = [
+    _DEFAULT_TABLE,
+    parse_rules(TINY_RULES),
+    RuleSet(
+        tuple(rule for rule in _DEFAULT_TABLE.rules if rule.pattern != "ẍ"),
+        _DEFAULT_TABLE.exceptions,
+    ),
+]
+
+
+def _streamed(data, batch_bytes, table, config, strict):
+    """The text cli._stream writes for ``data``, read in ``batch_bytes`` batches."""
+    sink = io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_BYTES", batch_bytes)
+        cli._stream(io.BytesIO(data), sink, table, config, strict)
+    return sink.getvalue().decode("utf-8")
+
+
+@given(
+    batch_bytes=st.integers(min_value=1, max_value=64),
+    bom=st.booleans(),
+    text=_STREAM_TEXT,
+    config=st.sampled_from(
+        [
+            EngineConfig(),
+            EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True),
+            EngineConfig(punct_mode=PunctMode.KEEP, emit_rlm=True),
+        ]
+    ),
+)
+def test_streaming_property(batch_bytes, bom, text, config):
+    # Any batch size gives the whole-text output, or the same strict error.
+    data = (("\ufeff" if bom else "") + text).encode("utf-8")
+    for table in _STREAM_TABLES:
+        for strict in (False, True):
+            streamed = outcome(_streamed, data, batch_bytes, table, config, strict)
+            assert streamed == outcome(transliterate_text, text, table, config, strict=strict)
 
 
 @pytest.mark.parametrize(
@@ -230,6 +313,14 @@ def test_custom_rules_replace_table(tmp_path):
     assert dst.read_text(encoding="utf-8") == "پا"
 
 
+def test_rule_file_bom_ignored(tmp_path):
+    rules = _write(tmp_path / "tiny.rules", "\ufeff" + TINY_RULES)
+    src = _write(tmp_path / "in.txt", "ban\n")
+    dst = tmp_path / "out.txt"
+    assert run(["--rules", rules, src, "-o", str(dst)]) == EXIT_OK
+    assert dst.read_text(encoding="utf-8") == "بان\n"
+
+
 # -------------------------------------------------------------------- check
 
 def test_check_passing_corpus(tmp_path, capsys):
@@ -263,6 +354,12 @@ def test_check_seed_corpus_by_default(capsys):
     assert run(["check"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "pairs passed" in out
+
+
+def test_check_corpus_bom_ignored(tmp_path, capsys):
+    corpus = _write(tmp_path / "pairs.tsv", "\ufeffmin\tمن\n")
+    assert run(["check", corpus]) == EXIT_OK
+    assert "1/1 pairs passed" in capsys.readouterr().out
 
 
 def test_check_respects_flags(tmp_path, capsys):
@@ -308,3 +405,49 @@ def test_seed_corpus_path_exists():
     with open(seed_corpus_path(), encoding="utf-8") as handle:
         pairs = load_corpus(handle.read())
     assert len(pairs) >= 22  # the regression pairs plus 20+ hand-checked ones
+
+
+# ------------------------------------------------------------------- errors
+
+def _raised(function, *args, **kwargs):
+    with pytest.raises(Exception) as exc_info:
+        function(*args, **kwargs)
+    return exc_info.value
+
+
+def _package_exception_classes():
+    """Every exception class defined in a module of the package."""
+    found, todo = set(), [Exception]
+    while todo:
+        for subclass in todo.pop().__subclasses__():
+            if subclass not in found:
+                found.add(subclass)
+                todo.append(subclass)
+    return {cls for cls in found if cls.__module__.split(".")[0] == "hawar2sorani"}
+
+
+def test_every_package_error_pickles(rs):
+    # One instance per class, each raised by the code that raises it in use;
+    # a class added to the package without a case here fails the test.
+    errors = {
+        RuleError: RuleError("no table", line=3, entry=0),
+        MalformedLine: _raised(parse_rules, "b\tmedial\tب"),
+        DuplicateRule: _raised(parse_rules, "b\tany\tب\nb\tany\tپ"),
+        IllegalCharacter: _raised(parse_rules, "b\tany\tب\n@vowels a1"),
+        PatternTooLong: _raised(Rule, "xxxx", Context.ANY, "خ"),
+        OutputTooLong: _raised(parse_rules, "x\tany\tخخخخ"),
+        UnmatchedCharacter: _raised(
+            transliterate_text, "ban\nbaq", parse_rules(TINY_RULES), strict=True
+        ),
+        MalformedPairLine: _raised(load_corpus, "min\tمن\nmin من\n"),
+        InvalidInputBytes: _raised(
+            cli._stream, io.BytesIO(b"min\n\xff"), io.BytesIO(), rs, EngineConfig(), False
+        ),
+    }
+    assert set(errors) == _package_exception_classes()
+    for cls, error in errors.items():
+        assert type(error) is cls
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == str(error)
+        assert copy.__dict__ == error.__dict__

@@ -60,18 +60,18 @@ def test_fold_composes_nfc():
         ("dua", "دوئا"),
     ],
 )
-def test_word_table(latin, expected, rs, cfg):
-    assert transliterate_word(latin, rs, cfg) == expected
+def test_word_table(latin, expected, rs):
+    assert transliterate_word(latin, rs) == expected
 
 
-def test_word_exception(rs, cfg):
-    assert transliterate_word("û", rs, cfg) == "و"
-    assert transliterate_word("Û", rs, cfg) == "و"
+def test_word_exception(rs):
+    assert transliterate_word("û", rs) == "و"
+    assert transliterate_word("Û", rs) == "و"
 
 
-def test_word_exception_only_whole_word(rs, cfg):
+def test_word_exception_only_whole_word(rs):
     # "û" inside a longer word follows the normal rules
-    assert transliterate_word("ûr", rs, cfg) == "ئوور"
+    assert transliterate_word("ûr", rs) == "ئوور"
 
 
 def test_word_unmatched_passthrough():
@@ -221,13 +221,13 @@ def test_idempotent(rs, text):
 
 
 @given(_hawar_words)
-def test_case_invariance(rs, cfg, word):
-    assert transliterate_word(word.upper(), rs, cfg) == transliterate_word(word, rs, cfg)
+def test_case_invariance(rs, word):
+    assert transliterate_word(word.upper(), rs) == transliterate_word(word, rs)
 
 
 @given(_hawar_words)
-def test_no_latin_residue(rs, cfg, word):
-    out = transliterate_word(word, rs, cfg)
+def test_no_latin_residue(rs, word):
+    out = transliterate_word(word, rs)
     assert not any(c in KURDISH_LATIN_LETTERS for c in out), (word, out)
 
 
@@ -242,8 +242,8 @@ def test_line_count_preserved(rs, cfg, text):
 
 
 @given(st.text(st.sampled_from(sorted(LATIN_RULE_CHARS)), min_size=1, max_size=8))
-def test_greedy_matches_oracle(rs, cfg, word):
-    assert transliterate_word(word, rs, cfg) == naive_transliterate_word(word, rs)
+def test_greedy_matches_oracle(rs, word):
+    assert transliterate_word(word, rs) == naive_transliterate_word(word, rs)
 
 
 @given(_mixed_texts)
