@@ -33,6 +33,7 @@ from .rules import (
     RuleError,
     RuleSet,
     default_rules,
+    load_rules,
     parse_rules,
     serialize_rules,
 )

@@ -29,7 +29,7 @@ from .engine import (
     UnmatchedCharacter,
     transliterate_text,
 )
-from .rules import RuleError, RuleSet, default_rules, parse_rules
+from .rules import RuleError, RuleSet, default_rules, load_rules
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -110,11 +110,14 @@ def seed_corpus_path() -> str:
 def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rules", metavar="FILE", help="rule file replacing the built-in table")
     parser.add_argument(
-        "--digits", choices=["keep", "arabic"], default="keep", help="digit handling (default: keep)"
+        "--digits",
+        choices=[mode.value for mode in DigitMode],
+        default="keep",
+        help="digit handling (default: keep)",
     )
     parser.add_argument(
         "--punct",
-        choices=["keep", "arabic"],
+        choices=[mode.value for mode in PunctMode],
         default="arabic",
         help="punctuation handling (default: arabic)",
     )
@@ -158,18 +161,7 @@ def _build_check_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        digit_mode=DigitMode.KEEP if args.digits == "keep" else DigitMode.ARABIC_INDIC,
-        punct_mode=PunctMode.KEEP if args.punct == "keep" else PunctMode.ARABIC_SCRIPT,
-        emit_rlm=args.rlm,
-    )
-
-
-def _load_rules(path: Optional[str]) -> RuleSet:
-    if path is None:
-        return default_rules()
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_rules(handle.read())
+    return EngineConfig(DigitMode(args.digits), PunctMode(args.punct), args.rlm)
 
 
 # Batch size for streaming reads. readlines() returns whole lines, so memory
@@ -268,7 +260,7 @@ def run(argv: Optional[list] = None) -> int:
     else:
         args, command = _build_main_parser().parse_args(argv), _run_transliterate
     try:
-        rs = _load_rules(args.rules)
+        rs = default_rules() if args.rules is None else load_rules(args.rules)
     except (RuleError, OSError, UnicodeDecodeError) as exc:
         print(f"translit: {exc}", file=sys.stderr)
         return EXIT_RULES

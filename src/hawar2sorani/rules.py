@@ -1,4 +1,4 @@
-"""Rule model, rule-file format, and the built-in Hawar-to-Sorani table.
+"""Rule model and rule-file format.
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. Each RuleSet compiles its rules once into
@@ -11,13 +11,15 @@ Rule files are plain UTF-8 text, one rule per line:
 
 with context one of ``any``, ``initial``, ``after_vowel``, ``final``, or
 ``word`` (a whole-word exception), ``#`` comments, the visible marker ``∅``
-for empty output, and optional ``@version`` / ``@vowels`` directives.
+for empty output, and optional ``@version`` / ``@vowels`` directives. The
+built-in table is one such file, ``data/default.rules`` in this package.
 """
 
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
@@ -272,78 +274,14 @@ def serialize_rules(rs: RuleSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-DEFAULT_VERSION = "builtin-1.0"
-
-_ANY = Context.ANY
-_INI = Context.WORD_INITIAL
-_AFV = Context.AFTER_VOWEL
-
-# Built-in Hawar-to-Sorani table. Geminate digraphs are listed first for
-# readability only; _compile ranks by pattern length regardless of order.
-_DEFAULT_TABLE = (
-    ("ll", _ANY, "ڵ"),  # velarized l
-    ("rr", _ANY, "ڕ"),  # trilled r
-    ("b", _ANY, "ب"),
-    ("c", _ANY, "ج"),
-    ("ç", _ANY, "چ"),
-    ("d", _ANY, "د"),
-    ("f", _ANY, "ف"),
-    ("g", _ANY, "گ"),
-    ("h", _ANY, "ه"),
-    ("ḧ", _ANY, "ح"),  # pharyngeal h
-    ("j", _ANY, "ژ"),
-    ("k", _ANY, "ک"),
-    ("l", _ANY, "ل"),
-    ("m", _ANY, "م"),
-    ("n", _ANY, "ن"),
-    ("p", _ANY, "پ"),
-    ("q", _ANY, "ق"),
-    ("r", _ANY, "ر"),
-    ("s", _ANY, "س"),
-    ("ş", _ANY, "ش"),
-    ("t", _ANY, "ت"),
-    ("v", _ANY, "ڤ"),
-    ("w", _ANY, "و"),
-    ("x", _ANY, "خ"),
-    ("ẍ", _ANY, "غ"),  # voiced velar fricative
-    ("y", _ANY, "ی"),
-    ("z", _ANY, "ز"),
-    ("'", _ANY, "ع"),  # pharyngeal stop
-    # Vowels: bare form, word-initial carrier form, post-vowel hamza form.
-    ("a", _ANY, "ا"),
-    ("a", _INI, "ئا"),
-    ("a", _AFV, "ئا"),
-    ("e", _ANY, "ە"),
-    ("e", _INI, "ئە"),
-    ("e", _AFV, "ئە"),
-    ("ê", _ANY, "ێ"),
-    ("ê", _INI, "ئێ"),
-    ("ê", _AFV, "ئێ"),
-    # Bizroke: the short i is unwritten; word-initially only the carrier
-    # remains, and it never takes a post-vowel variant.
-    ("i", _ANY, ""),
-    ("i", _INI, "ئ"),
-    ("î", _ANY, "ی"),
-    ("î", _INI, "ئی"),
-    ("î", _AFV, "ئی"),
-    ("o", _ANY, "ۆ"),
-    ("o", _INI, "ئۆ"),
-    ("o", _AFV, "ئۆ"),
-    ("u", _ANY, "و"),
-    ("u", _INI, "ئو"),
-    ("u", _AFV, "ئو"),
-    ("û", _ANY, "وو"),
-    ("û", _INI, "ئوو"),
-    ("û", _AFV, "ئوو"),
-)
-
-# Whole-word overrides applied before rule matching.
-_DEFAULT_EXCEPTIONS = {
-    "û": "و",  # the standalone conjunction, never written with the carrier
-}
+def load_rules(path) -> RuleSet:
+    """Read and parse a rule file; a UTF-8 BOM at its start is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        return parse_rules(handle.read())
 
 
 def default_rules() -> RuleSet:
-    """The built-in Hawar-to-Sorani table with its exception lexicon."""
-    rules = tuple(Rule(pattern, context, output) for pattern, context, output in _DEFAULT_TABLE)
-    return RuleSet(rules, _DEFAULT_EXCEPTIONS, HAWAR_VOWELS, DEFAULT_VERSION)
+    """The built-in Hawar-to-Sorani table, shipped as ``data/default.rules``."""
+    table = resources.files("hawar2sorani").joinpath("data/default.rules")
+    with resources.as_file(table) as path:  # a real file even from a zip import
+        return load_rules(path)

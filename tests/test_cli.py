@@ -5,6 +5,7 @@ import pickle
 import stat
 import subprocess
 import sys
+from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
 import pytest
@@ -405,6 +406,20 @@ def test_seed_corpus_path_exists():
     with open(seed_corpus_path(), encoding="utf-8") as handle:
         pairs = load_corpus(handle.read())
     assert len(pairs) >= 22  # the regression pairs plus 20+ hand-checked ones
+
+
+def test_package_data_covers_data_files():
+    # The tests import from src/, so a data file that pyproject.toml does not
+    # ship would pass them and be missing only from the installed package.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["hawar2sorani"]
+    package = root / "src" / "hawar2sorani"
+    files = [path.relative_to(package) for path in (package / "data").rglob("*") if path.is_file()]
+    assert files
+    for path in files:
+        assert any(PurePosixPath(path.as_posix()).match(glob) for glob in globs), path
 
 
 # ------------------------------------------------------------------- errors

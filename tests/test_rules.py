@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawar2sorani.alphabets import LATIN_RULE_CHARS
+from hawar2sorani.alphabets import HAWAR_VOWELS, LATIN_RULE_CHARS
 from hawar2sorani.rules import (
     Context,
     DuplicateRule,
@@ -209,6 +209,8 @@ def test_default_contains_geminate_digraphs(rs):
 
 def test_default_exception_lexicon(rs):
     assert rs.exceptions == {"û": "و"}
+    assert rs.version == "builtin-1.0"
+    assert rs.latin_vowels == HAWAR_VOWELS
 
 
 # ------------------------------------------------------------ round trip
