@@ -102,9 +102,13 @@ def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
     return len(pairs), failures
 
 
-def seed_corpus_path() -> str:
-    """Path of the corpus shipped with the package."""
-    return str(resources.files("hawar2sorani").joinpath("data/seed_corpus.tsv"))
+def seed_corpus_path():
+    """The corpus shipped with the package, as an ``importlib.resources`` file.
+
+    ``resources.as_file`` gives a real path for it, also when the package is
+    imported from a zip.
+    """
+    return resources.files("hawar2sorani").joinpath("data/seed_corpus.tsv")
 
 
 def _add_shared_options(parser: argparse.ArgumentParser) -> None:
@@ -244,8 +248,12 @@ def _run_transliterate(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig)
 
 
 def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
-    corpus = args.corpus if args.corpus is not None else seed_corpus_path()
-    total, failures = check_corpus(corpus, rs, cfg)
+    if args.corpus is None:
+        corpus = resources.as_file(seed_corpus_path())
+    else:
+        corpus = contextlib.nullcontext(args.corpus)
+    with corpus as path:
+        total, failures = check_corpus(path, rs, cfg)
     for line, latin, expected, actual in failures:
         print(f"line {line}: {latin!r} -> {actual!r} (expected {expected!r})")
     print(f"check: {total - len(failures)}/{total} pairs passed")

@@ -66,13 +66,11 @@ class UnmatchedCharacter(ValueError):
         return f"no rule matches {self.char!r} at {where}"
 
 
-_APOSTROPHE_FOLD = str.maketrans({"’": CANONICAL_APOSTROPHE, "ʼ": CANONICAL_APOSTROPHE})
-
-
 def fold_word(word: str) -> str:
     """NFC-normalize, lowercase, and canonicalize apostrophes."""
+    # str.replace, not str.translate, which is slow on non-ASCII text.
     folded = unicodedata.normalize("NFC", word).lower()
-    folded = folded.translate(_APOSTROPHE_FOLD)
+    folded = folded.replace("’", CANONICAL_APOSTROPHE).replace("ʼ", CANONICAL_APOSTROPHE)
     return unicodedata.normalize("NFC", folded)
 
 
@@ -107,16 +105,21 @@ def _word_entry(word: str, rs: RuleSet) -> tuple:
     return entry
 
 
-_PUNCT_TO_ARABIC = str.maketrans({",": "،", ";": "؛", "?": "؟"})
-_DIGITS_TO_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
+_DIGITS_TO_ARABIC_INDIC = tuple(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))
 
 
 def map_symbols(text: str, cfg: EngineConfig) -> str:
     """Per-character symbol mapping; everything unconfigured is unchanged."""
+    # One str.replace per symbol: str.translate is slow on non-ASCII text, and
+    # no replacement is itself a symbol, so the order does not matter.
+    pairs = ()
     if cfg.punct_mode is PunctMode.ARABIC_SCRIPT:
-        text = text.translate(_PUNCT_TO_ARABIC)
+        pairs += _PUNCT_TO_ARABIC
     if cfg.digit_mode is DigitMode.ARABIC_INDIC:
-        text = text.translate(_DIGITS_TO_ARABIC_INDIC)
+        pairs += _DIGITS_TO_ARABIC_INDIC
+    for symbol, replacement in pairs:
+        text = text.replace(symbol, replacement)
     return text
 
 

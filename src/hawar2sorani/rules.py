@@ -1,9 +1,12 @@
 """Rule model and rule-file format.
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
-output under a positional condition. Each RuleSet compiles its rules once into
-one regular expression that rewrites a case-folded word left to right; the
-compile step (``_compile``) is the one place that states which rule wins.
+output under a positional condition. Each RuleSet compiles its rules once, and
+rewrites a case-folded word in two steps: one regular expression replaces every
+match of a longer or context rule, left to right, and one ``str.translate``
+maps each letter left over through its single-letter ``any`` rule. The compile
+step (``_compile``) is the one place that states which rule wins and why the
+two steps agree with it.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -101,13 +104,29 @@ class Rule:
 
 
 def _compile(rules: tuple, vowels: frozenset) -> tuple:
-    """One regex alternation for the whole table, plus the output of each group.
+    """The two rewrite steps of a table, and a test for unmatched characters.
 
-    At every position ``re`` takes the first alternative that matches, so
-    sorting the alternatives fixes precedence: the longest pattern wins, then
-    a rule whose context holds beats ``any``, then the earlier rule. Each rule
-    is one capturing group, so ``match.lastindex`` names the winner; the last
-    group, whose output is None, takes a character no rule matches.
+    Precedence: at every position the longest pattern wins, then a rule whose
+    context holds beats ``any``, then the earlier rule.
+
+    Step 1 is one regex alternation over every rule but the single-letter
+    ``any`` ones, sorted by that key, so ``re`` takes the first alternative
+    that matches; each rule is one capturing group, so ``match.lastindex``
+    names the winner. A lookahead over the groups' first letters rejects a
+    position before any alternative is tried. Step 2 is one ``str.translate``
+    through the single-letter ``any`` rules. The two steps give what one
+    alternation over all rules would: a single-letter ``any`` rule sorts after
+    every other rule for its letter, so it wins exactly where no alternative of
+    step 1 matches, and there step 1 moves on by one character, as the rule
+    consumes one. Step 1 writes only Arabic letters, which step 2 leaves alone,
+    and its anchors and lookbehinds see the Latin word.
+
+    Step 2 leaves a character with no entry as it is; that character is
+    unmatched unless step 1 consumed it. So only a word holding one
+    (``untabled`` finds it) can have an unmatched character.
+
+    Returns (step 1 regex, output of each group by index, translate table,
+    untabled).
     """
     after_vowel = f"(?<=[{re.escape(''.join(sorted(vowels)))}])" if vowels else "(?!)"
     anchors = {
@@ -116,13 +135,24 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
         Context.AFTER_VOWEL: after_vowel + "{}",
         Context.WORD_FINAL: r"{}\Z",
     }
-    ranked = sorted(
-        enumerate(rules),
-        key=lambda item: (-len(item[1].pattern), item[1].context is Context.ANY, item[0]),
-    )
-    groups = [f"({anchors[rule.context].format(re.escape(rule.pattern))})" for _, rule in ranked]
-    regex = re.compile("|".join(groups + ["(.)"]), re.S)
-    return regex, (None,) + tuple(rule.output for _, rule in ranked) + (None,)
+    letters, keyed = {}, []
+    for order, rule in enumerate(rules):
+        if len(rule.pattern) == 1 and rule.context is Context.ANY:
+            letters[rule.pattern] = rule.output
+        else:
+            keyed.append((-len(rule.pattern), rule.context is Context.ANY, order, rule))
+    ranked = [rule for *_, rule in sorted(keyed)]  # order is unique: no Rule is compared
+    if ranked:
+        firsts = re.escape("".join(sorted({rule.pattern[0] for rule in ranked})))
+        groups = "|".join(
+            f"({anchors[rule.context].format(re.escape(rule.pattern))})" for rule in ranked
+        )
+        regex = re.compile(f"(?=[{firsts}])(?:{groups})")
+    else:
+        regex = re.compile("(?!)")
+    untabled = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]" if letters else "(?s:.)")
+    outputs = (None,) + tuple(rule.output for rule in ranked)
+    return regex, outputs, str.maketrans(letters), untabled
 
 
 @dataclass(frozen=True)
@@ -159,9 +189,11 @@ class RuleSet:
         set_attribute(self, "rules", rules)
         set_attribute(self, "exceptions", exceptions)
         set_attribute(self, "latin_vowels", vowels)
-        regex, outputs = _compile(rules, vowels)
+        regex, outputs, table, untabled = _compile(rules, vowels)
         set_attribute(self, "_regex", regex)
-        set_attribute(self, "_outputs", outputs)
+        set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
+        set_attribute(self, "_table", table)
+        set_attribute(self, "_untabled", untabled)
         # Transliterated words memoized by the engine, keyed on the raw word.
         set_attribute(self, "_word_cache", {})
 
@@ -170,17 +202,17 @@ class RuleSet:
         exception = self.exceptions.get(folded)
         if exception is not None:
             return exception, -1
-        outputs = self._outputs
-        out = []
-        unmatched = -1
+        output = self._regex.sub(self._group_output, folded).translate(self._table)
+        if self._untabled.search(folded) is None:
+            return output, -1
+        # Unmatched: a character no rule of step 1 covers and step 2 lacks.
+        covered = set()
         for match in self._regex.finditer(folded):
-            output = outputs[match.lastindex]
-            if output is None:
-                output = match.group()
-                if unmatched < 0:
-                    unmatched = match.start()
-            out.append(output)
-        return "".join(out), unmatched
+            covered.update(range(match.start(), match.end()))
+        for index, char in enumerate(folded):
+            if index not in covered and ord(char) not in self._table:
+                return output, index
+        return output, -1
 
     def __reduce__(self):
         # Rebuilt through the constructor: the read-only exceptions view does

@@ -4,8 +4,36 @@ policy and of word grouping, used to cross-check the engine's fast path."""
 import unicodedata
 
 from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS
-from hawar2sorani.engine import RLM, UnmatchedCharacter, fold_word, map_symbols
+from hawar2sorani.engine import RLM, DigitMode, PunctMode, UnmatchedCharacter
 from hawar2sorani.rules import Context, RuleSet
+
+# The oracle's own folding and symbol tables, so that a fault in the
+# engine's fold_word or map_symbols cannot reach both sides of a comparison.
+_APOSTROPHE_FOLD = {"’": "'", "ʼ": "'"}
+_PUNCT = {",": "،", ";": "؛", "?": "؟"}
+_DIGITS = dict(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+
+
+def naive_fold(word: str) -> str:
+    """NFC, lower case, canonical apostrophes one character at a time, NFC."""
+    lowered = unicodedata.normalize("NFC", word).lower()
+    folded = "".join(_APOSTROPHE_FOLD.get(ch, ch) for ch in lowered)
+    return unicodedata.normalize("NFC", folded)
+
+
+def naive_map_symbols(text: str, cfg) -> str:
+    """Each character through the configured punctuation and digit tables."""
+    tables = []
+    if cfg.punct_mode is PunctMode.ARABIC_SCRIPT:
+        tables.append(_PUNCT)
+    if cfg.digit_mode is DigitMode.ARABIC_INDIC:
+        tables.append(_DIGITS)
+    out = []
+    for ch in text:
+        for table in tables:
+            ch = table.get(ch, ch)
+        out.append(ch)
+    return "".join(out)
 
 
 def outcome(fn, *args, **kwargs):
@@ -72,7 +100,7 @@ def naive_transliterate_word(word: str, rs: RuleSet) -> str:
 def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) -> str:
     """Reference for transliterate_text. Walks each NFC line one character at
     a time, grouping maximal runs of letters and apostrophes; a run holding a
-    letter is a word, every other character gets map_symbols."""
+    letter is a word, every other character gets naive_map_symbols."""
     lines = []
     for lineno, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
         pieces = []
@@ -82,15 +110,15 @@ def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) 
                 run += ch
                 continue
             if any(c in KURDISH_LATIN_LETTERS for c in run):
-                word = fold_word(run)
+                word = naive_fold(run)
                 out, unmatched = naive_parse(word, rs)
                 if strict and unmatched >= 0:
                     where = column - len(run) + unmatched
                     raise UnmatchedCharacter(word[unmatched], unmatched, lineno, where)
                 pieces.append(out)
             else:
-                pieces.append(map_symbols(run, cfg))
-            pieces.append(map_symbols(ch, cfg))
+                pieces.append(naive_map_symbols(run, cfg))
+            pieces.append(naive_map_symbols(ch, cfg))
             run = ""
         out = "".join(pieces)[:-1]
         body = out.rstrip("\r")

@@ -5,6 +5,7 @@ import pickle
 import stat
 import subprocess
 import sys
+import zipfile
 from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
@@ -355,6 +356,28 @@ def test_check_seed_corpus_by_default(capsys):
     assert run(["check"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "pairs passed" in out
+
+
+def test_check_seed_corpus_from_zip_import(tmp_path, monkeypatch):
+    # Imported from a zip, the packaged corpus is no file of its own.
+    package = Path(cli.__file__).resolve().parent
+    archive = tmp_path / "pkg.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                bundle.write(path, PurePosixPath("hawar2sorani", *path.relative_to(package).parts))
+    monkeypatch.setenv("PYTHONPATH", str(archive))
+    result = subprocess.run(
+        [sys.executable, "-m", "hawar2sorani.cli", "check"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_OK,
+        "check: 48/48 pairs passed\n",
+        "",
+    )
 
 
 def test_check_corpus_bom_ignored(tmp_path, capsys):

@@ -324,15 +324,37 @@ _WORD_FINAL_SET = RuleSet(
 )
 
 
+_DEFAULT = default_rules()
+# A letter with a context rule but no single-letter ``any`` rule: unmatched
+# except word-initially.
+_CONTEXT_ONLY_SET = RuleSet(
+    tuple(rule for rule in _DEFAULT.rules if rule != Rule("q", Context.ANY, "ق"))
+    + (Rule("q", Context.WORD_INITIAL, "ق"),),
+    _DEFAULT.exceptions,
+)
+# Single-letter ``any`` rules alone: the translate step does all the work.
+_LETTERS_ONLY_SET = RuleSet(
+    tuple(rule for rule in _DEFAULT.rules if len(rule.pattern) == 1 and rule.context is Context.ANY)
+)
+_PARTIAL_TABLES = {"context-only": _CONTEXT_ONLY_SET, "letters-only": _LETTERS_ONLY_SET}
+
+
 @given(st.text(st.sampled_from("aminx"), min_size=1, max_size=8))
 def test_lookup_matches_naive_scan(word):
     assert _parse(word, _WORD_FINAL_SET) == naive_parse(word, _WORD_FINAL_SET)
 
 
+@pytest.mark.parametrize("name", sorted(_PARTIAL_TABLES))
+@given(word=st.text(st.sampled_from(sorted(LATIN_RULE_CHARS) + ["0", "ب"]), min_size=1, max_size=8))
+def test_partial_tables_match_naive_scan(name, word):
+    table = _PARTIAL_TABLES[name]
+    assert _parse(word, table) == naive_parse(word, table)
+
+
 def _assert_matches_naive_parse_exhaustive(table):
-    # Every word of length up to 3 over the rule alphabet plus one character
-    # no rule matches.
-    alphabet = sorted(LATIN_RULE_CHARS) + ["0"]
+    # Every word of length up to 3 over the rule alphabet plus a character no
+    # rule matches and an Arabic letter, which the rule outputs look like.
+    alphabet = sorted(LATIN_RULE_CHARS) + ["0", "ب"]
     for length in range(1, 4):
         for chars in itertools.product(alphabet, repeat=length):
             word = "".join(chars)
@@ -345,6 +367,11 @@ def test_lookup_matches_naive_scan_on_default_exhaustive(rs):
 
 def test_synthetic_table_matches_naive_scan_exhaustive():
     _assert_matches_naive_parse_exhaustive(_WORD_FINAL_SET)
+
+
+@pytest.mark.parametrize("name", sorted(_PARTIAL_TABLES))
+def test_partial_tables_match_naive_scan_exhaustive(name):
+    _assert_matches_naive_parse_exhaustive(_PARTIAL_TABLES[name])
 
 
 def test_empty_vowel_set_never_fires_after_vowel():
