@@ -1,11 +1,14 @@
 """Transliteration engine: one pass that rewrites each word of a text.
 
 A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter. Each word is case-folded and rewritten by its RuleSet's
-compiled rule table (see rules.py); every other character gets the
-configured punctuation and digit mapping or passes through. No rule context
-crosses a word boundary and words never cross lines, so line-by-line
-processing gives byte-identical output to whole-text processing.
+least one letter. A text is split once into words and the gaps between them.
+Each word is looked up in its RuleSet's word cache; the words it misses are
+case-folded and rewritten together, in one batch, by the RuleSet's compiled
+rule table (see rules.py), and the pieces are joined again. Every character
+outside a word gets the configured punctuation and digit mapping or passes
+through. No rule context crosses a word boundary and words never cross
+lines, so line-by-line processing gives byte-identical output to whole-text
+processing.
 """
 
 import re
@@ -75,7 +78,8 @@ def fold_word(word: str) -> str:
 
 
 # Transliterated words memoized per RuleSet, keyed on the raw word text so
-# repeats skip case folding too; real text repeats words heavily.
+# repeats skip case folding too; real text repeats words heavily. The limit is
+# checked once per text: one whose misses would overflow it clears the cache.
 _CACHE_LIMIT = 1 << 17
 
 
@@ -85,24 +89,11 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
     """
-    entry = rs._word_cache.get(word)
-    if entry is None:
-        entry = _word_entry(word, rs)
-    if strict and entry[1] >= 0:
-        raise UnmatchedCharacter(entry[2], entry[1])
-    return entry[0]
-
-
-def _word_entry(word: str, rs: RuleSet) -> tuple:
-    """Compute and cache (output, first unmatched folded index or -1, unmatched char)."""
-    folded = fold_word(word)
-    output, unmatched = rs._rewrite(folded)
-    entry = (output, unmatched, folded[unmatched] if unmatched >= 0 else "")
-    cache = rs._word_cache
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[word] = entry
-    return entry
+    (output,), unmatched = rs._rewrite([fold_word(word)])
+    if strict and unmatched:
+        offset, char = unmatched[0]
+        raise UnmatchedCharacter(char, offset)
+    return output
 
 
 _PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
@@ -126,36 +117,62 @@ def map_symbols(text: str, cfg: EngineConfig) -> str:
 _LETTERS = re.escape("".join(sorted(KURDISH_LATIN_LETTERS)))
 _APOSTROPHES = re.escape("".join(sorted(APOSTROPHES)))
 # Leading apostrophes join the word, so a run of apostrophes alone is not one.
-_WORD = re.compile(f"[{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*")
+# The one group makes split() return the words between the gaps.
+_WORD = re.compile(f"([{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*)")
 # A full stop ending a line would render on the wrong side in an LTR-defaulted
 # editor; the mark pins it. \r from CRLF input stays after the mark.
-_LINE_FINAL_STOP = re.compile(r"\.(\r*)$", re.M)
-_STOP_WITH_RLM = "." + RLM + r"\1"
+_LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
+_STOP_WITH_RLM = "." + RLM
 
 
 def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
-    if not unicodedata.is_normalized("NFC", text):
-        text = unicodedata.normalize("NFC", text)
-    cache = rs._word_cache
-
-    def word(match):
-        run = match.group()
-        entry = cache.get(run)
-        if entry is None:
-            entry = _word_entry(run, rs)
-        if strict and entry[1] >= 0:
-            start = match.start()
-            line = text.count("\n", 0, start) + 1
-            column = start - text.rfind("\n", 0, start) + entry[1]
-            raise UnmatchedCharacter(entry[2], entry[1], line, column)
-        return entry[0]
-
+    # normalize returns NFC text as it is, after its own quick check.
+    pieces = _WORD.split(unicodedata.normalize("NFC", text))
+    words = pieces[1::2]
+    with rs._word_lock:
+        cache, unmatched = rs._word_cache, rs._word_unmatched
+        try:  # every word a hit: no Python code runs per word
+            outputs = list(map(cache.__getitem__, words))
+        except KeyError:
+            # Not rewritten in here: str.translate raises and clears a
+            # KeyError for each character its table lacks, which costs far
+            # more while another exception is being handled.
+            outputs = None
+        if outputs is None:  # rewrite every miss of the text in one batch
+            missing = set(words).difference(cache)
+            if len(cache) + len(missing) > _CACHE_LIMIT:
+                cache.clear()
+                unmatched.clear()
+                missing = set(words)
+                if len(missing) > _CACHE_LIMIT:  # too many to keep: this call only
+                    cache, unmatched = {}, {}
+            missing = list(missing)
+            rewritten, flagged = rs._rewrite(list(map(fold_word, missing)))
+            cache.update(zip(missing, rewritten))
+            unmatched.update((missing[position], entry) for position, entry in flagged.items())
+            outputs = list(map(cache.__getitem__, words))
+        if strict and not unmatched.keys().isdisjoint(words):
+            raise _strict_error(pieces, unmatched)
+    pieces[1::2] = outputs
     # Word output is Arabic letters or passed-through word characters, never
     # a mapped symbol, so the symbol mapping can run over the whole result.
-    out = map_symbols(_WORD.sub(word, text), cfg)
+    out = map_symbols("".join(pieces), cfg)
     if cfg.emit_rlm:
         out = _LINE_FINAL_STOP.sub(_STOP_WITH_RLM, out)
     return out
+
+
+def _strict_error(pieces: list, unmatched: dict) -> UnmatchedCharacter:
+    """The error for the first word of ``pieces`` (words at odd indices) in ``unmatched``."""
+    for position in range(1, len(pieces), 2):
+        entry = unmatched.get(pieces[position])
+        if entry is not None:
+            break
+    offset, char = entry
+    before = "".join(pieces[:position])
+    line = before.count("\n") + 1
+    column = len(before) - before.rfind("\n") + offset
+    return UnmatchedCharacter(char, offset, line, column)

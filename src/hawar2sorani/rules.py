@@ -2,11 +2,13 @@
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. Each RuleSet compiles its rules once, and
-rewrites a case-folded word in two steps: one regular expression replaces every
+rewrites a batch of case-folded words at a time: it joins them with a
+separator no folded word holds, then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.translate``
-maps each letter left over through its single-letter ``any`` rule. The compile
-step (``_compile``) is the one place that states which rule wins and why the
-two steps agree with it.
+maps each letter left over through its single-letter ``any`` rule. Splitting
+on the separator gives each word's output. The compile step (``_compile``) is
+the one place that states which rule wins, why the two steps agree with it,
+and why the separator keeps the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -19,6 +21,7 @@ built-in table is one such file, ``data/default.rules`` in this package.
 """
 
 import re
+import threading
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -103,37 +106,51 @@ class Rule:
         _check_chars(self.output, ARABIC_LETTERS, "output")
 
 
+# Joins the folded words of a batch. NFC maps U+2126 OHM SIGN to U+03A9, so no
+# word folded by the engine (its last step is NFC) holds it.
+_SEPARATOR = "\u2126"
+
+
 def _compile(rules: tuple, vowels: frozenset) -> tuple:
     """The two rewrite steps of a table, and a test for unmatched characters.
 
     Precedence: at every position the longest pattern wins, then a rule whose
     context holds beats ``any``, then the earlier rule.
 
+    Both steps run over a batch of folded words joined by ``_SEPARATOR``. No
+    pattern, output or vowel holds the separator, so no match spans two words
+    and the outputs split apart again. Word-initial is "not after a character
+    other than the separator", word-final "not before one": on a lone word,
+    the start and the end of the string, even if the word holds a newline.
+
     Step 1 is one regex alternation over every rule but the single-letter
     ``any`` ones, sorted by that key, so ``re`` takes the first alternative
-    that matches; each rule is one capturing group, so ``match.lastindex``
-    names the winner. A lookahead over the groups' first letters rejects a
-    position before any alternative is tried. Step 2 is one ``str.translate``
-    through the single-letter ``any`` rules. The two steps give what one
-    alternation over all rules would: a single-letter ``any`` rule sorts after
-    every other rule for its letter, so it wins exactly where no alternative of
-    step 1 matches, and there step 1 moves on by one character, as the rule
-    consumes one. Step 1 writes only Arabic letters, which step 2 leaves alone,
-    and its anchors and lookbehinds see the Latin word.
+    that matches. Each alternative is the rule's pattern, then its context as
+    a lookbehind or lookahead over the pattern, then an empty group, so
+    ``match.lastindex`` names the winner. As every alternative starts with a
+    literal, ``re`` skips in C the positions where no rule can start. Step 2 is
+    one ``str.translate`` through the single-letter ``any`` rules. The two
+    steps give what one alternation over all rules would: a single-letter
+    ``any`` rule sorts after every other rule for its letter, so it wins
+    exactly where no alternative of step 1 matches, and there step 1 moves on
+    by one character, as the rule consumes one. Step 1 writes only Arabic
+    letters, which step 2 leaves alone, and its lookarounds see the Latin
+    words.
 
     Step 2 leaves a character with no entry as it is; that character is
     unmatched unless step 1 consumed it. So only a word holding one
-    (``untabled`` finds it) can have an unmatched character.
+    (``untabled`` finds it; the separator does not count) can have an
+    unmatched character.
 
     Returns (step 1 regex, output of each group by index, translate table,
     untabled).
     """
-    after_vowel = f"(?<=[{re.escape(''.join(sorted(vowels)))}])" if vowels else "(?!)"
-    anchors = {
-        Context.ANY: "{}",
-        Context.WORD_INITIAL: r"\A{}",
-        Context.AFTER_VOWEL: after_vowel + "{}",
-        Context.WORD_FINAL: r"{}\Z",
+    vowel_class = re.escape("".join(sorted(vowels)))
+    alternatives = {
+        Context.ANY: "{0}",
+        Context.WORD_INITIAL: f"{{0}}(?<![^{_SEPARATOR}]{{0}})",
+        Context.AFTER_VOWEL: f"{{0}}(?<=[{vowel_class}]{{0}})" if vowels else "{0}(?!)",
+        Context.WORD_FINAL: f"{{0}}(?![^{_SEPARATOR}])",
     }
     letters, keyed = {}, []
     for order, rule in enumerate(rules):
@@ -142,15 +159,13 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
         else:
             keyed.append((-len(rule.pattern), rule.context is Context.ANY, order, rule))
     ranked = [rule for *_, rule in sorted(keyed)]  # order is unique: no Rule is compared
-    if ranked:
-        firsts = re.escape("".join(sorted({rule.pattern[0] for rule in ranked})))
-        groups = "|".join(
-            f"({anchors[rule.context].format(re.escape(rule.pattern))})" for rule in ranked
+    regex = re.compile(
+        "|".join(
+            alternatives[rule.context].format(re.escape(rule.pattern)) + "()" for rule in ranked
         )
-        regex = re.compile(f"(?=[{firsts}])(?:{groups})")
-    else:
-        regex = re.compile("(?!)")
-    untabled = re.compile(f"[^{re.escape(''.join(sorted(letters)))}]" if letters else "(?s:.)")
+        or "(?!)"
+    )
+    untabled = re.compile(f"[^{re.escape(''.join(sorted(letters)))}{_SEPARATOR}]")
     outputs = (None,) + tuple(rule.output for rule in ranked)
     return regex, outputs, str.maketrans(letters), untabled
 
@@ -194,25 +209,38 @@ class RuleSet:
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_table", table)
         set_attribute(self, "_untabled", untabled)
-        # Transliterated words memoized by the engine, keyed on the raw word.
+        # Transliterated words memoized by the engine, keyed on the raw word:
+        # the output, and (index, char) of the first unmatched character of a
+        # word that has one. The lock keeps the two in step across threads.
         set_attribute(self, "_word_cache", {})
+        set_attribute(self, "_word_unmatched", {})
+        set_attribute(self, "_word_lock", threading.Lock())
 
-    def _rewrite(self, folded: str) -> tuple:
-        """(output, index of the first unmatched character or -1) for a folded word."""
-        exception = self.exceptions.get(folded)
-        if exception is not None:
-            return exception, -1
-        output = self._regex.sub(self._group_output, folded).translate(self._table)
-        if self._untabled.search(folded) is None:
-            return output, -1
-        # Unmatched: a character no rule of step 1 covers and step 2 lacks.
-        covered = set()
-        for match in self._regex.finditer(folded):
-            covered.update(range(match.start(), match.end()))
-        for index, char in enumerate(folded):
-            if index not in covered and ord(char) not in self._table:
-                return output, index
-        return output, -1
+    def _rewrite(self, folded: list) -> tuple:
+        """Rewrite a batch of folded words with one regex pass and one translate.
+
+        Returns (outputs, unmatched): the output of each word, and, for each
+        word holding a character no rule matches, its position in ``folded``
+        mapped to (index of the first such character, the character).
+        """
+        joined = _SEPARATOR.join(folded)
+        rewritten = self._regex.sub(self._group_output, joined).translate(self._table)
+        outputs = list(map(self.exceptions.get, folded, rewritten.split(_SEPARATOR)))
+        unmatched = {}
+        if self._untabled.search(joined) is None:
+            return outputs, unmatched
+        for position, word in enumerate(folded):
+            if word in self.exceptions or self._untabled.search(word) is None:
+                continue
+            # Unmatched: a character no rule of step 1 covers and step 2 lacks.
+            covered = set()
+            for match in self._regex.finditer(word):
+                covered.update(range(match.start(), match.end()))
+            for index, char in enumerate(word):
+                if index not in covered and ord(char) not in self._table:
+                    unmatched[position] = (index, char)
+                    break
+        return outputs, unmatched
 
     def __reduce__(self):
         # Rebuilt through the constructor: the read-only exceptions view does

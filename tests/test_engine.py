@@ -1,11 +1,15 @@
+import itertools
 import multiprocessing
 import pickle
+import random
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hawar2sorani import engine
 from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
 from hawar2sorani.engine import (
     RLM,
@@ -18,8 +22,14 @@ from hawar2sorani.engine import (
     transliterate_text,
     transliterate_word,
 )
-from hawar2sorani.rules import parse_rules
-from helpers import naive_transliterate_word
+from hawar2sorani.rules import default_rules, parse_rules
+from helpers import (
+    naive_fold,
+    naive_parse,
+    naive_transliterate_text,
+    naive_transliterate_word,
+    outcome,
+)
 
 
 # --------------------------------------------------------------- fold_word
@@ -115,6 +125,27 @@ def test_word_strict_cache_interaction():
     assert transliterate_word("baq", tiny) == "باq"
 
 
+def test_word_separator_like_characters_match_oracle(rs):
+    # The engine rewrites a batch of words joined by U+2126; a newline, that
+    # sign or U+03A9 (its NFC form) inside a word must not act as a boundary.
+    table = parse_rules(
+        "a\tinitial\tئا\na\tafter_vowel\tع\na\tany\tا\nn\tfinal\tین\nn\tany\tن\n"
+        "na\tfinal\tنە\n"
+    )
+    alphabet = ["a", "n", "\n", "\u2126", "\u03a9"]
+    for ruleset in (rs, table):
+        for length in range(1, 4):
+            for chars in itertools.product(alphabet, repeat=length):
+                word = "".join(chars)
+                try:
+                    transliterate_word(word, ruleset, strict=True)
+                    offset = -1
+                except UnmatchedCharacter as exc:
+                    offset = exc.offset
+                got = (transliterate_word(word, ruleset), offset)
+                assert got == naive_parse(naive_fold(word), ruleset), repr(word)
+
+
 # ------------------------------------------------------------- map_symbols
 
 def test_symbols_arabic_punct(cfg):
@@ -194,6 +225,66 @@ def test_text_rlm_off_by_default(rs, cfg):
     assert transliterate_text("min.\n", rs, cfg) == "من.\n"
 
 
+def test_text_cache_clears_mid_text(monkeypatch):
+    monkeypatch.setattr(engine, "_CACHE_LIMIT", 8)
+    table = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن\ni\tinitial\tئ\n")
+    lines = [
+        "ban nab abn ab, na",
+        "bab naan Bab, ib baq",
+        "qa ban nnn bbb ina",
+        "bin nib banan ba b",
+        "ban nab",
+    ]
+    text = "\n".join(lines)
+    assert len(set(engine._WORD.findall(text))) > 8
+    configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
+    for strict in (False, True):
+        for config in configs:
+            expected = outcome(naive_transliterate_text, text, table, config, strict=strict)
+            # Line by line, as the CLI feeds batches: the cache fills and
+            # clears between calls.
+            if not strict:
+                outputs = []
+                for line in lines:
+                    outputs.append(transliterate_text(line, table, config))
+                    assert len(table._word_cache) <= 8
+                    assert table._word_unmatched.keys() <= table._word_cache.keys()
+                assert "\n".join(outputs) == expected
+            # One call with more distinct words than the limit.
+            assert outcome(transliterate_text, text, table, config, strict=strict) == expected
+            assert len(table._word_cache) <= 8
+
+
+def test_text_strict_after_non_strict_run():
+    tiny = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن")
+    text = "ban\nna ban\nna baq ban\nbaq baq\n"
+    assert transliterate_text(text, tiny) == "بان\nنا بان\nنا باq بان\nباq باq\n"
+    with pytest.raises(UnmatchedCharacter) as exc_info:
+        transliterate_text(text, tiny, strict=True)
+    error = exc_info.value
+    assert (error.char, error.offset, error.line, error.column) == ("q", 2, 3, 6)
+    assert outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict=True) == (
+        "q", 2, 3, 6
+    )
+
+
+def test_fold_word_called_once_per_distinct_miss(monkeypatch):
+    # The benchmark's tracer counts word-cache misses as fold_word calls.
+    folded = []
+
+    def counting_fold_word(word):
+        folded.append(word)
+        return fold_word(word)
+
+    monkeypatch.setattr(engine, "fold_word", counting_fold_word)
+    table = default_rules()
+    transliterate_text("min û tu min\nMin, tu û", table)
+    assert sorted(folded) == ["Min", "min", "tu", "û"]
+    folded.clear()
+    transliterate_text("min baş\nbaş tu", table, strict=True)
+    assert folded == ["baş"]
+
+
 # ---------------------------------------------------------------- properties
 
 _hawar_words = st.text(
@@ -262,3 +353,32 @@ def test_concurrent_equals_sequential(rs, cfg):
     with ThreadPoolExecutor(max_workers=4) as pool:
         concurrent = list(pool.map(lambda line: transliterate_text(line, rs, cfg), lines))
     assert concurrent == sequential
+
+
+def test_threads_sharing_a_clearing_cache(monkeypatch):
+    # Threads fill, read and clear one RuleSet's word cache; a clear falling
+    # between another thread's fill and its lookups would lose words.
+    monkeypatch.setattr(engine, "_CACHE_LIMIT", 6)
+    tiny = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن")
+    rng = random.Random(5)
+    texts = [
+        " ".join("".join(rng.choice("banq") for _ in range(rng.randint(1, 3))) for _ in range(3))
+        for _ in range(40)
+    ]
+    jobs = [(text, strict) for text in texts for strict in (False, True)]
+    expected = [
+        outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict)
+        for text, strict in jobs
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = pool.map(
+                lambda job: outcome(transliterate_text, job[0], tiny, strict=job[1]),
+                jobs * 250,
+                timeout=60,
+            )
+            assert list(results) == expected * 250
+    finally:
+        sys.setswitchinterval(interval)

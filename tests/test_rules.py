@@ -20,7 +20,7 @@ from hawar2sorani.rules import (
     parse_rules,
     serialize_rules,
 )
-from hawar2sorani.engine import UnmatchedCharacter, transliterate_word
+from hawar2sorani.engine import UnmatchedCharacter, transliterate_text, transliterate_word
 from helpers import naive_parse
 
 
@@ -220,7 +220,8 @@ def test_default_round_trips_exactly(rs):
 
 
 def test_ruleset_pickles(rs):
-    transliterate_word("min", rs)  # the original's word memo is not empty
+    transliterate_text("min", rs)  # the original's word memo is not empty
+    assert rs._word_cache
     copy = pickle.loads(pickle.dumps(rs))
     assert copy == rs
     assert copy._word_cache == {}
@@ -299,6 +300,12 @@ def test_lookup_initial_beats_any(rs):
 def test_lookup_none_for_foreign_char(rs):
     assert _parse("mot", rs) == ("مۆت", -1)
     assert _parse("m0t", rs) == ("م0ت", 1)
+
+
+def test_exception_word_has_no_unmatched_character():
+    table = RuleSet((Rule("b", Context.ANY, "ب"),), {"qb": "ق"})
+    assert _parse("qb", table) == naive_parse("qb", table) == ("ق", -1)
+    assert _parse("qbq", table) == naive_parse("qbq", table) == ("qبq", 0)
 
 
 def test_lookup_completeness_all_letters_all_flags(rs):
