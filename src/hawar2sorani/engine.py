@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .alphabets import APOSTROPHES, CANONICAL_APOSTROPHE, KURDISH_LATIN_LETTERS
+from .alphabets import APOSTROPHES, ARABIC_LETTERS, CANONICAL_APOSTROPHE, KURDISH_LATIN_LETTERS
 from .rules import RuleSet
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
@@ -89,11 +89,14 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
     """
-    (output,), unmatched = rs._rewrite([fold_word(word)])
-    if strict and unmatched:
-        offset, char = unmatched[0]
+    folded = fold_word(word)
+    # Any string comes in here, so the output cannot show what matched: a
+    # typed Arabic letter passes through unmatched.
+    unmatched = rs._first_unmatched(folded) if strict else None
+    if unmatched is not None:
+        offset, char = unmatched
         raise UnmatchedCharacter(char, offset)
-    return output
+    return rs._rewrite([folded])[0]
 
 
 _PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
@@ -123,6 +126,10 @@ _WORD = re.compile(f"([{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*)"
 # editor; the mark pins it. \r from CRLF input stays after the mark.
 _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
+# Rule tables write only Arabic letters (Rule and RuleSet check them) and a
+# word cut by _WORD holds none, so a rewritten word holds another character
+# exactly where no rule matched it. Strict mode looks for one.
+_NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
 def transliterate_text(
@@ -132,8 +139,10 @@ def transliterate_text(
     # normalize returns NFC text as it is, after its own quick check.
     pieces = _WORD.split(unicodedata.normalize("NFC", text))
     words = pieces[1::2]
+    # The lock keeps one thread's clear from landing between another thread's
+    # fill and its reads.
     with rs._word_lock:
-        cache, unmatched = rs._word_cache, rs._word_unmatched
+        cache = rs._word_cache
         try:  # every word a hit: no Python code runs per word
             outputs = list(map(cache.__getitem__, words))
         except KeyError:
@@ -145,34 +154,30 @@ def transliterate_text(
             missing = set(words).difference(cache)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
-                unmatched.clear()
                 missing = set(words)
                 if len(missing) > _CACHE_LIMIT:  # too many to keep: this call only
-                    cache, unmatched = {}, {}
+                    cache = {}
             missing = list(missing)
-            rewritten, flagged = rs._rewrite(list(map(fold_word, missing)))
-            cache.update(zip(missing, rewritten))
-            unmatched.update((missing[position], entry) for position, entry in flagged.items())
+            cache.update(zip(missing, rs._rewrite(list(map(fold_word, missing)))))
             outputs = list(map(cache.__getitem__, words))
-        if strict and not unmatched.keys().isdisjoint(words):
-            raise _strict_error(pieces, unmatched)
+    if strict and _NOT_ARABIC.search("".join(outputs)):
+        raise _strict_error(pieces, outputs, rs)
     pieces[1::2] = outputs
     # Word output is Arabic letters or passed-through word characters, never
     # a mapped symbol, so the symbol mapping can run over the whole result.
     out = map_symbols("".join(pieces), cfg)
     if cfg.emit_rlm:
         out = _LINE_FINAL_STOP.sub(_STOP_WITH_RLM, out)
-    return out
+    # A word's output can compose with a combining mark after it.
+    return unicodedata.normalize("NFC", out)
 
 
-def _strict_error(pieces: list, unmatched: dict) -> UnmatchedCharacter:
-    """The error for the first word of ``pieces`` (words at odd indices) in ``unmatched``."""
-    for position in range(1, len(pieces), 2):
-        entry = unmatched.get(pieces[position])
-        if entry is not None:
-            break
-    offset, char = entry
-    before = "".join(pieces[:position])
+def _strict_error(pieces: list, outputs: list, rs: RuleSet) -> UnmatchedCharacter:
+    """The error for the first word of ``pieces`` (words at odd indices) with
+    an unmatched character; ``outputs`` holds the output of each word."""
+    index = 2 * next(i for i, output in enumerate(outputs) if _NOT_ARABIC.search(output)) + 1
+    offset, char = rs._first_unmatched(fold_word(pieces[index]))
+    before = "".join(pieces[:index])
     line = before.count("\n") + 1
     column = len(before) - before.rfind("\n") + offset
     return UnmatchedCharacter(char, offset, line, column)

@@ -112,7 +112,7 @@ _SEPARATOR = "\u2126"
 
 
 def _compile(rules: tuple, vowels: frozenset) -> tuple:
-    """The two rewrite steps of a table, and a test for unmatched characters.
+    """The two rewrite steps of a table.
 
     Precedence: at every position the longest pattern wins, then a rule whose
     context holds beats ``any``, then the earlier rule.
@@ -137,13 +137,12 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     letters, which step 2 leaves alone, and its lookarounds see the Latin
     words.
 
-    Step 2 leaves a character with no entry as it is; that character is
-    unmatched unless step 1 consumed it. So only a word holding one
-    (``untabled`` finds it; the separator does not count) can have an
-    unmatched character.
+    Step 2 leaves a character with no entry as it is, so every character no
+    rule matched reaches the output unchanged, and every other output
+    character is an Arabic letter. Strict mode reads unmatched characters off
+    the output this way; ``RuleSet._first_unmatched`` finds where one stood.
 
-    Returns (step 1 regex, output of each group by index, translate table,
-    untabled).
+    Returns (step 1 regex, output of each group by index, translate table).
     """
     vowel_class = re.escape("".join(sorted(vowels)))
     alternatives = {
@@ -165,9 +164,8 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
         )
         or "(?!)"
     )
-    untabled = re.compile(f"[^{re.escape(''.join(sorted(letters)))}{_SEPARATOR}]")
     outputs = (None,) + tuple(rule.output for rule in ranked)
-    return regex, outputs, str.maketrans(letters), untabled
+    return regex, outputs, str.maketrans(letters)
 
 
 @dataclass(frozen=True)
@@ -204,43 +202,36 @@ class RuleSet:
         set_attribute(self, "rules", rules)
         set_attribute(self, "exceptions", exceptions)
         set_attribute(self, "latin_vowels", vowels)
-        regex, outputs, table, untabled = _compile(rules, vowels)
+        regex, outputs, table = _compile(rules, vowels)
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_table", table)
-        set_attribute(self, "_untabled", untabled)
-        # Transliterated words memoized by the engine, keyed on the raw word:
-        # the output, and (index, char) of the first unmatched character of a
-        # word that has one. The lock keeps the two in step across threads.
+        # Transliterated words memoized by the engine, keyed on the raw word,
+        # and the lock under which the engine fills, clears and reads them.
         set_attribute(self, "_word_cache", {})
-        set_attribute(self, "_word_unmatched", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
-    def _rewrite(self, folded: list) -> tuple:
-        """Rewrite a batch of folded words with one regex pass and one translate.
-
-        Returns (outputs, unmatched): the output of each word, and, for each
-        word holding a character no rule matches, its position in ``folded``
-        mapped to (index of the first such character, the character).
-        """
+    def _rewrite(self, folded: list) -> list:
+        """The output of each folded word of a batch: one regex pass, one translate."""
         joined = _SEPARATOR.join(folded)
         rewritten = self._regex.sub(self._group_output, joined).translate(self._table)
-        outputs = list(map(self.exceptions.get, folded, rewritten.split(_SEPARATOR)))
-        unmatched = {}
-        if self._untabled.search(joined) is None:
-            return outputs, unmatched
-        for position, word in enumerate(folded):
-            if word in self.exceptions or self._untabled.search(word) is None:
-                continue
-            # Unmatched: a character no rule of step 1 covers and step 2 lacks.
-            covered = set()
-            for match in self._regex.finditer(word):
-                covered.update(range(match.start(), match.end()))
-            for index, char in enumerate(word):
-                if index not in covered and ord(char) not in self._table:
-                    unmatched[position] = (index, char)
-                    break
-        return outputs, unmatched
+        return list(map(self.exceptions.get, folded, rewritten.split(_SEPARATOR)))
+
+    def _first_unmatched(self, folded: str):
+        """(index, char) of the first character of a folded word no rule matches, or None.
+
+        Unmatched: a character no match of step 1 covers and step 2 lacks.
+        Only errors need the index, so only they run this walk.
+        """
+        if folded in self.exceptions:
+            return None
+        covered = set()
+        for match in self._regex.finditer(folded):
+            covered.update(range(match.start(), match.end()))
+        for index, char in enumerate(folded):
+            if index not in covered and ord(char) not in self._table:
+                return index, char
+        return None
 
     def __reduce__(self):
         # Rebuilt through the constructor: the read-only exceptions view does

@@ -100,7 +100,8 @@ def naive_transliterate_word(word: str, rs: RuleSet) -> str:
 def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) -> str:
     """Reference for transliterate_text. Walks each NFC line one character at
     a time, grouping maximal runs of letters and apostrophes; a run holding a
-    letter is a word, every other character gets naive_map_symbols."""
+    letter is a word, every other character gets naive_map_symbols. The result
+    is NFC: a word's output can compose with a combining mark after it."""
     lines = []
     for lineno, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
         pieces = []
@@ -125,4 +126,4 @@ def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) 
         if cfg.emit_rlm and body.endswith("."):
             out = body + RLM + out[len(body):]
         lines.append(out)
-    return "\n".join(lines)
+    return unicodedata.normalize("NFC", "\n".join(lines))

@@ -3,13 +3,14 @@ import multiprocessing
 import pickle
 import random
 import sys
+import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawar2sorani import engine
+from hawar2sorani import engine, transliterate
 from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
 from hawar2sorani.engine import (
     RLM,
@@ -84,7 +85,7 @@ def test_word_exception_only_whole_word(rs):
     assert transliterate_word("ûr", rs) == "ئوور"
 
 
-def test_word_unmatched_passthrough():
+def test_word_passes_unmatched_character_through():
     tiny = parse_rules("b\tany\tب\na\tany\tا")
     assert transliterate_word("baq", tiny) == "باq"
 
@@ -225,6 +226,15 @@ def test_text_rlm_off_by_default(rs, cfg):
     assert transliterate_text("min.\n", rs, cfg) == "من.\n"
 
 
+def test_text_output_is_nfc(rs, cfg):
+    # U+0654 ARABIC HAMZA ABOVE after a word composes with the word's last
+    # letter once it is Arabic: U+0627 ALEF + U+0654 is U+0623 in NFC.
+    assert transliterate("ba\u0654") == "\u0628\u0623"
+    text = "ba\u0654 min\u0654\n\u00fb\u0654 0\u0654"
+    assert transliterate_text(text, rs, cfg) == naive_transliterate_text(text, rs, cfg)
+    assert unicodedata.is_normalized("NFC", transliterate_text(text, rs, cfg))
+
+
 def test_text_cache_clears_mid_text(monkeypatch):
     monkeypatch.setattr(engine, "_CACHE_LIMIT", 8)
     table = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن\ni\tinitial\tئ\n")
@@ -248,7 +258,6 @@ def test_text_cache_clears_mid_text(monkeypatch):
                 for line in lines:
                     outputs.append(transliterate_text(line, table, config))
                     assert len(table._word_cache) <= 8
-                    assert table._word_unmatched.keys() <= table._word_cache.keys()
                 assert "\n".join(outputs) == expected
             # One call with more distinct words than the limit.
             assert outcome(transliterate_text, text, table, config, strict=strict) == expected

@@ -20,8 +20,13 @@ from hawar2sorani.rules import (
     parse_rules,
     serialize_rules,
 )
-from hawar2sorani.engine import UnmatchedCharacter, transliterate_text, transliterate_word
-from helpers import naive_parse
+from hawar2sorani.engine import (
+    EngineConfig,
+    UnmatchedCharacter,
+    transliterate_text,
+    transliterate_word,
+)
+from helpers import naive_parse, naive_transliterate_text, outcome
 
 
 # ---------------------------------------------------------------- parsing
@@ -358,27 +363,34 @@ def test_partial_tables_match_naive_scan(name, word):
     assert _parse(word, table) == naive_parse(word, table)
 
 
-def _assert_matches_naive_parse_exhaustive(table):
+def _assert_matches_naive_parse_exhaustive(table, *, as_text=False):
     # Every word of length up to 3 over the rule alphabet plus a character no
     # rule matches and an Arabic letter, which the rule outputs look like.
+    # With ``as_text`` strict mode is checked on the word as a text too, which
+    # reads the unmatched characters off the output instead of walking it.
     alphabet = sorted(LATIN_RULE_CHARS) + ["0", "ب"]
     for length in range(1, 4):
         for chars in itertools.product(alphabet, repeat=length):
             word = "".join(chars)
             assert _parse(word, table) == naive_parse(word, table), word
+            if as_text:
+                assert outcome(transliterate_text, word, table, strict=True) == outcome(
+                    naive_transliterate_text, word, table, EngineConfig(), strict=True
+                ), word
 
 
 def test_lookup_matches_naive_scan_on_default_exhaustive(rs):
+    # Whole-text strict mode on the built-in table: test_acceptance's sweep.
     _assert_matches_naive_parse_exhaustive(rs)
 
 
 def test_synthetic_table_matches_naive_scan_exhaustive():
-    _assert_matches_naive_parse_exhaustive(_WORD_FINAL_SET)
+    _assert_matches_naive_parse_exhaustive(_WORD_FINAL_SET, as_text=True)
 
 
 @pytest.mark.parametrize("name", sorted(_PARTIAL_TABLES))
 def test_partial_tables_match_naive_scan_exhaustive(name):
-    _assert_matches_naive_parse_exhaustive(_PARTIAL_TABLES[name])
+    _assert_matches_naive_parse_exhaustive(_PARTIAL_TABLES[name], as_text=True)
 
 
 def test_empty_vowel_set_never_fires_after_vowel():
