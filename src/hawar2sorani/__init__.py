@@ -17,7 +17,6 @@ from .engine import (
     PunctMode,
     RLM,
     UnmatchedCharacter,
-    fold_word,
     map_symbols,
     transliterate_text,
     transliterate_word,
@@ -33,6 +32,7 @@ from .rules import (
     RuleError,
     RuleSet,
     default_rules,
+    fold_word,
     load_rules,
     parse_rules,
     serialize_rules,

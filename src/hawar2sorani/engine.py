@@ -1,14 +1,14 @@
-"""Transliteration engine: one pass that rewrites each word of a text.
+"""Transliteration engine: the text around the words.
 
 A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter. A text is split once into words and the gaps between them.
-Each word is looked up in its RuleSet's word cache; the words it misses are
-case-folded and rewritten together, in one batch, by the RuleSet's compiled
-rule table (see rules.py), and the pieces are joined again. Every character
-outside a word gets the configured punctuation and digit mapping or passes
-through. No rule context crosses a word boundary and words never cross
-lines, so line-by-line processing gives byte-identical output to whole-text
-processing.
+least one letter. A text is split once into words and the gaps between them;
+the RuleSet gives every word's output in one call (it folds, memoizes and
+rewrites words; see rules.py), and the pieces are joined again. Every
+character outside a word gets the configured punctuation and digit mapping or
+passes through. The engine also places strict-mode errors, marks line-final
+full stops and returns NFC. No rule context crosses a word boundary and words
+never cross lines, so line-by-line processing gives byte-identical output to
+whole-text processing.
 """
 
 import re
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .alphabets import APOSTROPHES, ARABIC_LETTERS, CANONICAL_APOSTROPHE, KURDISH_LATIN_LETTERS
+from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS
 from .rules import RuleSet
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
@@ -69,34 +69,20 @@ class UnmatchedCharacter(ValueError):
         return f"no rule matches {self.char!r} at {where}"
 
 
-def fold_word(word: str) -> str:
-    """NFC-normalize, lowercase, and canonicalize apostrophes."""
-    # str.replace, not str.translate, which is slow on non-ASCII text.
-    folded = unicodedata.normalize("NFC", word).lower()
-    folded = folded.replace("’", CANONICAL_APOSTROPHE).replace("ʼ", CANONICAL_APOSTROPHE)
-    return unicodedata.normalize("NFC", folded)
-
-
-# Transliterated words memoized per RuleSet, keyed on the raw word text so
-# repeats skip case folding too; real text repeats words heavily. The limit is
-# checked once per text: one whose misses would overflow it clears the cache.
-_CACHE_LIMIT = 1 << 17
-
-
 def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     """Rewrite one word. Characters without a rule pass through.
 
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
     """
-    folded = fold_word(word)
     # Any string comes in here, so the output cannot show what matched: a
     # typed Arabic letter passes through unmatched.
-    unmatched = rs._first_unmatched(folded) if strict else None
+    unmatched = rs._first_unmatched(word) if strict else None
     if unmatched is not None:
         offset, char = unmatched
         raise UnmatchedCharacter(char, offset)
-    return rs._rewrite([folded])[0]
+    # A word's output can compose with a combining mark it holds.
+    return unicodedata.normalize("NFC", rs._outputs([word])[0])
 
 
 _PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
@@ -138,28 +124,7 @@ def transliterate_text(
     """Transliterate arbitrary text, preserving line structure exactly."""
     # normalize returns NFC text as it is, after its own quick check.
     pieces = _WORD.split(unicodedata.normalize("NFC", text))
-    words = pieces[1::2]
-    # The lock keeps one thread's clear from landing between another thread's
-    # fill and its reads.
-    with rs._word_lock:
-        cache = rs._word_cache
-        try:  # every word a hit: no Python code runs per word
-            outputs = list(map(cache.__getitem__, words))
-        except KeyError:
-            # Not rewritten in here: str.translate raises and clears a
-            # KeyError for each character its table lacks, which costs far
-            # more while another exception is being handled.
-            outputs = None
-        if outputs is None:  # rewrite every miss of the text in one batch
-            missing = set(words).difference(cache)
-            if len(cache) + len(missing) > _CACHE_LIMIT:
-                cache.clear()
-                missing = set(words)
-                if len(missing) > _CACHE_LIMIT:  # too many to keep: this call only
-                    cache = {}
-            missing = list(missing)
-            cache.update(zip(missing, rs._rewrite(list(map(fold_word, missing)))))
-            outputs = list(map(cache.__getitem__, words))
+    outputs = rs._outputs(pieces[1::2])
     if strict and _NOT_ARABIC.search("".join(outputs)):
         raise _strict_error(pieces, outputs, rs)
     pieces[1::2] = outputs
@@ -176,7 +141,7 @@ def _strict_error(pieces: list, outputs: list, rs: RuleSet) -> UnmatchedCharacte
     """The error for the first word of ``pieces`` (words at odd indices) with
     an unmatched character; ``outputs`` holds the output of each word."""
     index = 2 * next(i for i, output in enumerate(outputs) if _NOT_ARABIC.search(output)) + 1
-    offset, char = rs._first_unmatched(fold_word(pieces[index]))
+    offset, char = rs._first_unmatched(pieces[index])
     before = "".join(pieces[:index])
     line = before.count("\n") + 1
     column = len(before) - before.rfind("\n") + offset

@@ -1,9 +1,10 @@
-"""Rule model and rule-file format.
+"""Rule model, word rewriting and rule-file format.
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
-output under a positional condition. Each RuleSet compiles its rules once, and
-rewrites a batch of case-folded words at a time: it joins them with a
-separator no folded word holds, then one regular expression replaces every
+output under a positional condition. A RuleSet owns a word's rewrite: it
+compiles its rules once and memoizes each raw word's output (``_outputs``).
+The words of a batch that miss are case-folded (``fold_word``) and joined with
+a separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.translate``
 maps each letter left over through its single-letter ``any`` rule. Splitting
 on the separator gives each word's output. The compile step (``_compile``) is
@@ -29,7 +30,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
-from .alphabets import ARABIC_LETTERS, HAWAR_VOWELS, LATIN_RULE_CHARS
+from .alphabets import ARABIC_LETTERS, CANONICAL_APOSTROPHE, HAWAR_VOWELS, LATIN_RULE_CHARS
 
 
 class RuleError(ValueError):
@@ -106,9 +107,22 @@ class Rule:
         _check_chars(self.output, ARABIC_LETTERS, "output")
 
 
+def fold_word(word: str) -> str:
+    """NFC-normalize, lowercase, and canonicalize apostrophes."""
+    # str.replace, not str.translate, which is slow on non-ASCII text.
+    folded = unicodedata.normalize("NFC", word).lower()
+    folded = folded.replace("’", CANONICAL_APOSTROPHE).replace("ʼ", CANONICAL_APOSTROPHE)
+    return unicodedata.normalize("NFC", folded)
+
+
 # Joins the folded words of a batch. NFC maps U+2126 OHM SIGN to U+03A9, so no
-# word folded by the engine (its last step is NFC) holds it.
+# word folded by fold_word (its last step is NFC) holds it.
 _SEPARATOR = "\u2126"
+
+# Word outputs memoized per RuleSet, keyed on the raw word text so repeats
+# skip case folding too; real text repeats words heavily. The limit is checked
+# once per batch: one whose misses would overflow it clears the memo.
+_CACHE_LIMIT = 1 << 17
 
 
 def _compile(rules: tuple, vowels: frozenset) -> tuple:
@@ -172,8 +186,9 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
 class RuleSet:
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
-    Immutable; safe to share across threads. Construction validates the table
-    as a whole and compiles it (see ``_compile`` for the precedence policy).
+    Immutable but for a private word memo behind a lock (``_outputs``); safe to
+    share across threads. Construction validates the table as a whole and
+    compiles it (see ``_compile`` for the precedence policy).
     """
 
     rules: tuple
@@ -186,6 +201,11 @@ class RuleSet:
         exceptions = MappingProxyType(dict(self.exceptions))
         vowels = frozenset(self.latin_vowels)
         _check_chars("".join(sorted(vowels)), LATIN_RULE_CHARS, "vowel set")
+        # What an @version line gives back: parse_rules reads NFC text, ends
+        # the line at a newline and strips the value.
+        read_back = unicodedata.normalize("NFC", self.version).strip()
+        if not read_back or "\n" in read_back or read_back != self.version:
+            raise MalformedLine(f"version {self.version!r} would not parse back from a rule file")
         seen = set()
         for index, rule in enumerate(rules):
             if (rule.pattern, rule.context) in seen:
@@ -206,10 +226,34 @@ class RuleSet:
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_table", table)
-        # Transliterated words memoized by the engine, keyed on the raw word,
-        # and the lock under which the engine fills, clears and reads them.
+        # The word memo of _outputs and its lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
+
+    def _outputs(self, words: list) -> list:
+        """The output of each raw word; misses are folded and rewritten in one batch."""
+        # The lock keeps one thread's clear from landing between another
+        # thread's fill and its reads.
+        with self._word_lock:
+            cache = self._word_cache
+            try:  # every word a hit: no Python code runs per word
+                return list(map(cache.__getitem__, words))
+            except KeyError:
+                # Not rewritten in here: str.translate raises and clears a
+                # KeyError for each character its table lacks, which costs far
+                # more while another exception is being handled.
+                pass
+            missing = set(words).difference(cache)
+            if len(cache) + len(missing) > _CACHE_LIMIT:
+                cache.clear()
+                missing = set(words)
+                if len(missing) > _CACHE_LIMIT:  # too many to keep: this call only
+                    cache = {}
+            missing = list(missing)
+            # fold_word is looked up at each call, never bound to a local:
+            # perfbench's tracer counts misses by replacing it.
+            cache.update(zip(missing, self._rewrite(list(map(fold_word, missing)))))
+            return list(map(cache.__getitem__, words))
 
     def _rewrite(self, folded: list) -> list:
         """The output of each folded word of a batch: one regex pass, one translate."""
@@ -217,12 +261,13 @@ class RuleSet:
         rewritten = self._regex.sub(self._group_output, joined).translate(self._table)
         return list(map(self.exceptions.get, folded, rewritten.split(_SEPARATOR)))
 
-    def _first_unmatched(self, folded: str):
-        """(index, char) of the first character of a folded word no rule matches, or None.
+    def _first_unmatched(self, word: str):
+        """(index, char) of the first character of ``fold_word(word)`` no rule matches, or None.
 
         Unmatched: a character no match of step 1 covers and step 2 lacks.
         Only errors need the index, so only they run this walk.
         """
+        folded = fold_word(word)
         if folded in self.exceptions:
             return None
         covered = set()

@@ -8,7 +8,7 @@ from hawar2sorani.engine import RLM, DigitMode, PunctMode, UnmatchedCharacter
 from hawar2sorani.rules import Context, RuleSet
 
 # The oracle's own folding and symbol tables, so that a fault in the
-# engine's fold_word or map_symbols cannot reach both sides of a comparison.
+# package's fold_word or map_symbols cannot reach both sides of a comparison.
 _APOSTROPHE_FOLD = {"’": "'", "ʼ": "'"}
 _PUNCT = {",": "،", ";": "؛", "?": "؟"}
 _DIGITS = dict(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))

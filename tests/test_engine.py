@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawar2sorani import engine, transliterate
+from hawar2sorani import engine, rules, transliterate
 from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
 from hawar2sorani.engine import (
     RLM,
@@ -18,12 +18,11 @@ from hawar2sorani.engine import (
     EngineConfig,
     PunctMode,
     UnmatchedCharacter,
-    fold_word,
     map_symbols,
     transliterate_text,
     transliterate_word,
 )
-from hawar2sorani.rules import default_rules, parse_rules
+from hawar2sorani.rules import default_rules, fold_word, parse_rules
 from helpers import (
     naive_fold,
     naive_parse,
@@ -230,13 +229,14 @@ def test_text_output_is_nfc(rs, cfg):
     # U+0654 ARABIC HAMZA ABOVE after a word composes with the word's last
     # letter once it is Arabic: U+0627 ALEF + U+0654 is U+0623 in NFC.
     assert transliterate("ba\u0654") == "\u0628\u0623"
+    assert transliterate_word("ba\u0654", rs) == "\u0628\u0623"
     text = "ba\u0654 min\u0654\n\u00fb\u0654 0\u0654"
     assert transliterate_text(text, rs, cfg) == naive_transliterate_text(text, rs, cfg)
     assert unicodedata.is_normalized("NFC", transliterate_text(text, rs, cfg))
 
 
 def test_text_cache_clears_mid_text(monkeypatch):
-    monkeypatch.setattr(engine, "_CACHE_LIMIT", 8)
+    monkeypatch.setattr(rules, "_CACHE_LIMIT", 8)
     table = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن\ni\tinitial\tئ\n")
     lines = [
         "ban nab abn ab, na",
@@ -285,13 +285,17 @@ def test_fold_word_called_once_per_distinct_miss(monkeypatch):
         folded.append(word)
         return fold_word(word)
 
-    monkeypatch.setattr(engine, "fold_word", counting_fold_word)
+    monkeypatch.setattr(rules, "fold_word", counting_fold_word)
     table = default_rules()
     transliterate_text("min û tu min\nMin, tu û", table)
     assert sorted(folded) == ["Min", "min", "tu", "û"]
     folded.clear()
     transliterate_text("min baş\nbaş tu", table, strict=True)
     assert folded == ["baş"]
+    # transliterate_word shares the memo.
+    folded.clear()
+    assert transliterate_word("Min", table) == "من"
+    assert folded == []
 
 
 # ---------------------------------------------------------------- properties
@@ -367,7 +371,7 @@ def test_concurrent_equals_sequential(rs, cfg):
 def test_threads_sharing_a_clearing_cache(monkeypatch):
     # Threads fill, read and clear one RuleSet's word cache; a clear falling
     # between another thread's fill and its lookups would lose words.
-    monkeypatch.setattr(engine, "_CACHE_LIMIT", 6)
+    monkeypatch.setattr(rules, "_CACHE_LIMIT", 6)
     tiny = parse_rules("b\tany\tب\na\tany\tا\nn\tany\tن")
     rng = random.Random(5)
     texts = [

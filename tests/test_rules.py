@@ -15,6 +15,7 @@ from hawar2sorani.rules import (
     OutputTooLong,
     PatternTooLong,
     Rule,
+    RuleError,
     RuleSet,
     default_rules,
     parse_rules,
@@ -238,6 +239,28 @@ def test_synthetic_round_trip_with_three_to_three():
     rs = parse_rules(text)
     assert rs.rules[0].pattern == "xwe" and len(rs.rules[0].output) == 3
     assert parse_rules(serialize_rules(rs)) == rs
+
+
+@pytest.mark.parametrize("version", ["", " x", "a\nb", "e\u0301"])
+def test_ruleset_rejects_version_a_rule_file_cannot_hold(version):
+    # Empty, surrounding space, a newline, not NFC: none parses back the same.
+    with pytest.raises(MalformedLine):
+        RuleSet((), version=version)
+
+
+@given(st.text(max_size=8))
+def test_version_round_trips_or_is_rejected(version):
+    try:
+        table = RuleSet((), version=version)
+    except MalformedLine:
+        pass
+    else:
+        assert parse_rules(serialize_rules(table)) == table
+    # parse_rules reads no version that RuleSet rejects.
+    try:
+        parse_rules(f"@version {version}\n")
+    except RuleError as error:
+        assert error.line is not None
 
 
 @st.composite
