@@ -20,6 +20,7 @@ import sys
 import tempfile
 import unicodedata
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from .engine import (
@@ -90,25 +91,18 @@ def load_corpus(text: str) -> list:
 def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
     """Transliterate every pair's Latin side and compare NFC-exact.
 
-    Returns (number of pairs, failures as (line, latin, expected, actual)).
+    ``path`` None checks the corpus shipped with the package. Returns (number
+    of pairs, failures as (line, latin, expected, actual)).
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        pairs = load_corpus(handle.read())
+    shipped = resources.files("hawar2sorani").joinpath("data/seed_corpus.tsv")
+    corpus = shipped if path is None else Path(path)
+    pairs = load_corpus(corpus.read_text(encoding="utf-8-sig"))
     failures = []
     for line, latin, expected in pairs:
         actual = transliterate_text(latin, rs, cfg)
         if actual != expected:
             failures.append((line, latin, expected, actual))
     return len(pairs), failures
-
-
-def seed_corpus_path():
-    """The corpus shipped with the package, as an ``importlib.resources`` file.
-
-    ``resources.as_file`` gives a real path for it, also when the package is
-    imported from a zip.
-    """
-    return resources.files("hawar2sorani").joinpath("data/seed_corpus.tsv")
 
 
 def _add_shared_options(parser: argparse.ArgumentParser) -> None:
@@ -250,12 +244,7 @@ def _run_transliterate(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig)
 
 
 def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
-    if args.corpus is None:
-        corpus = resources.as_file(seed_corpus_path())
-    else:
-        corpus = contextlib.nullcontext(args.corpus)
-    with corpus as path:
-        total, failures = check_corpus(path, rs, cfg)
+    total, failures = check_corpus(args.corpus, rs, cfg)
     for line, latin, expected, actual in failures:
         print(f"line {line}: {latin!r} -> {actual!r} (expected {expected!r})")
     print(f"check: {total - len(failures)}/{total} pairs passed")

@@ -75,14 +75,15 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
     """
-    # Any string comes in here, so the output cannot show what matched: a
-    # typed Arabic letter passes through unmatched.
-    unmatched = rs._first_unmatched(word) if strict else None
-    if unmatched is not None:
-        offset, char = unmatched
-        raise UnmatchedCharacter(char, offset)
+    output = rs._outputs([word])[0]
+    if strict and (
+        _NOT_ARABIC.search(output) or not _WORD.fullmatch(unicodedata.normalize("NFC", word))
+    ):
+        unmatched = rs._first_unmatched(word)
+        if unmatched is not None:
+            raise UnmatchedCharacter(unmatched[1], unmatched[0])
     # A word's output can compose with a combining mark it holds.
-    return unicodedata.normalize("NFC", rs._outputs([word])[0])
+    return unicodedata.normalize("NFC", output)
 
 
 _PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
@@ -112,9 +113,11 @@ _WORD = re.compile(f"([{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*)"
 # editor; the mark pins it. \r from CRLF input stays after the mark.
 _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
-# Rule tables write only Arabic letters (Rule and RuleSet check them) and a
-# word cut by _WORD holds none, so a rewritten word holds another character
-# exactly where no rule matched it. Strict mode looks for one.
+# Rule tables write only Arabic letters (Rule and RuleSet check them) and an
+# NFC word that is one _WORD run folds to none, so its output holds another
+# character exactly where no rule matched it; strict mode looks for one. Every
+# word of a text is such a run; any other word may hide an unmatched Arabic
+# letter (typed, or composed by NFC: U+064A U+0654), so strict mode walks it.
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 

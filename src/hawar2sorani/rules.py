@@ -152,9 +152,9 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     words.
 
     Step 2 leaves a character with no entry as it is, so every character no
-    rule matched reaches the output unchanged, and every other output
-    character is an Arabic letter. Strict mode reads unmatched characters off
-    the output this way; ``RuleSet._first_unmatched`` finds where one stood.
+    rule matched reaches the output unchanged; strict mode relies on that (see
+    ``engine._NOT_ARABIC``), and ``RuleSet._first_unmatched`` finds where one
+    stood.
 
     Returns (step 1 regex, output of each group by index, translate table).
     """
@@ -265,7 +265,7 @@ class RuleSet:
         """(index, char) of the first character of ``fold_word(word)`` no rule matches, or None.
 
         Unmatched: a character no match of step 1 covers and step 2 lacks.
-        Only errors need the index, so only they run this walk.
+        Strict mode walks only a word its output check cannot clear (``engine._NOT_ARABIC``).
         """
         folded = fold_word(word)
         if folded in self.exceptions:
@@ -293,7 +293,7 @@ _CONTEXT_TOKENS = {context.value: context for context in Context}
 def parse_rules(text: str) -> RuleSet:
     """Parse rule-file content into a validated RuleSet.
 
-    Later duplicates of a (pattern, context) pair are rejected, never
+    A repeated (pattern, context) pair or directive is rejected, never
     silently overridden. Raised errors carry the 1-based line number.
     """
     text = unicodedata.normalize("NFC", text)
@@ -302,6 +302,7 @@ def parse_rules(text: str) -> RuleSet:
     lines: dict = {}  # RuleError.entry -> the line that defined the entry
     version = "custom"
     vowels = HAWAR_VOWELS
+    directives = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -309,13 +310,16 @@ def parse_rules(text: str) -> RuleSet:
         if stripped.startswith("@"):
             name, _, value = stripped.partition(" ")
             value = value.strip()
+            if name in directives:
+                raise DuplicateRule(f"second {name} directive", line=lineno)
             if name == "@version" and value:
                 version = value
-            elif name == "@vowels" and value:
+            elif name == "@vowels":  # no value: the empty vowel set
                 vowels = frozenset(value)
                 lines[None] = lineno
             else:
                 raise MalformedLine(f"bad directive {stripped!r}", line=lineno)
+            directives.add(name)
             continue
         fields = raw.split("\t")
         if len(fields) != 3:
@@ -379,5 +383,4 @@ def load_rules(path) -> RuleSet:
 def default_rules() -> RuleSet:
     """The built-in Hawar-to-Sorani table, shipped as ``data/default.rules``."""
     table = resources.files("hawar2sorani").joinpath("data/default.rules")
-    with resources.as_file(table) as path:  # a real file even from a zip import
-        return load_rules(path)
+    return parse_rules(table.read_text(encoding="utf-8-sig"))

@@ -26,7 +26,6 @@ from hawar2sorani.cli import (
     check_corpus,
     load_corpus,
     run,
-    seed_corpus_path,
 )
 from hawar2sorani.engine import (
     DigitMode,
@@ -425,10 +424,9 @@ def test_check_corpus_report_shape(tmp_path, rs, cfg):
     assert (line, latin, actual) == (2, "tu", "تو")
 
 
-def test_seed_corpus_path_exists():
-    with open(seed_corpus_path(), encoding="utf-8") as handle:
-        pairs = load_corpus(handle.read())
-    assert len(pairs) >= 22  # the regression pairs plus 20+ hand-checked ones
+def test_seed_corpus_path_exists(rs, cfg):
+    total, _ = check_corpus(None, rs, cfg)  # the shipped corpus
+    assert total >= 22  # the regression pairs plus 20+ hand-checked ones
 
 
 def test_package_data_covers_data_files():

@@ -97,6 +97,25 @@ def test_word_strict_raises():
     assert exc_info.value.offset == 2
 
 
+@pytest.mark.parametrize(
+    ("word", "char", "offset"),
+    [
+        ("\u0628", "\u0628", 0),  # a typed Arabic letter: its output is Arabic
+        ("\u064a\u0654", "\u0626", 0),  # NFC composes an Arabic letter
+        ("m0t", "0", 1),
+    ],
+)
+def test_word_strict_finds_what_the_output_hides(rs, word, char, offset):
+    with pytest.raises(UnmatchedCharacter) as exc_info:
+        transliterate_word(word, rs, strict=True)
+    assert (exc_info.value.char, exc_info.value.offset) == (char, offset)
+
+
+def test_word_strict_accepts_a_decomposed_word(rs):
+    # Not a word run as given, but its NFC form is one.
+    assert transliterate_word("e\u0302", rs, strict=True) == "\u0626\u06ce"
+
+
 def test_unmatched_character_pickles():
     error = UnmatchedCharacter("q", 2, 5, 7)
     copy = pickle.loads(pickle.dumps(error))
@@ -295,6 +314,12 @@ def test_fold_word_called_once_per_distinct_miss(monkeypatch):
     # transliterate_word shares the memo.
     folded.clear()
     assert transliterate_word("Min", table) == "من"
+    assert folded == []
+    # A strict call folds a miss once and a hit not at all.
+    assert transliterate_word("Kurdistan", table, strict=True) == "کوردستان"
+    assert folded == ["Kurdistan"]
+    folded.clear()
+    assert transliterate_word("Kurdistan", table, strict=True) == "کوردستان"
     assert folded == []
 
 

@@ -142,6 +142,8 @@ def test_parse_duplicate_exception():
         ("b\tany\tب\nx1\tword\tخ", IllegalCharacter, 2),
         ("b\tany\tب\nxa\tword\tب\nax\tword\tb", IllegalCharacter, 3),
         ("b\tany\tب\n\tword\tب", MalformedLine, 2),
+        ("@vowels ae\n@vowels io\nb\tany\tب", DuplicateRule, 2),
+        ("@version one\n@version two\n", DuplicateRule, 2),
     ],
 )
 def test_parse_table_errors_name_their_line(text, error, line):
@@ -285,7 +287,8 @@ def rulesets(draw):
         )
     )
     version = draw(st.text(st.sampled_from("abc123.-"), min_size=1, max_size=8))
-    return RuleSet(tuple(rules), exceptions, frozenset("aeêiîouû"), version)
+    vowels = draw(st.frozensets(st.sampled_from(letters)))  # the empty set too
+    return RuleSet(tuple(rules), exceptions, vowels, version)
 
 
 @given(rulesets())
