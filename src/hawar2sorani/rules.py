@@ -5,9 +5,9 @@ output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``).
 The words of a batch that miss are case-folded (``fold_word``) and joined with
 a separator no folded word holds; then one regular expression replaces every
-match of a longer or context rule, left to right, and one ``str.translate``
-maps each letter left over through its single-letter ``any`` rule. Splitting
-on the separator gives each word's output. The compile step (``_compile``) is
+match of a longer or context rule, left to right, and one ``str.replace``
+per single-letter ``any`` rule maps each letter left over. Splitting on the
+separator gives each word's output. The compile step (``_compile``) is
 the one place that states which rule wins, why the two steps agree with it,
 and why the separator keeps the words apart.
 
@@ -143,20 +143,23 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     a lookbehind or lookahead over the pattern, then an empty group, so
     ``match.lastindex`` names the winner. As every alternative starts with a
     literal, ``re`` skips in C the positions where no rule can start. Step 2 is
-    one ``str.translate`` through the single-letter ``any`` rules. The two
-    steps give what one alternation over all rules would: a single-letter
-    ``any`` rule sorts after every other rule for its letter, so it wins
-    exactly where no alternative of step 1 matches, and there step 1 moves on
-    by one character, as the rule consumes one. Step 1 writes only Arabic
-    letters, which step 2 leaves alone, and its lookarounds see the Latin
-    words.
+    one ``str.replace`` per single-letter ``any`` rule; a ``str.translate``
+    table would raise and clear a ``KeyError`` for each Arabic letter step 1
+    wrote. The two steps give what one alternation over all rules would: a
+    single-letter ``any`` rule sorts after every other rule for its letter, so
+    it wins exactly where no alternative of step 1 matches, and there step 1
+    moves on by one character, as the rule consumes one. Step 1 writes only
+    Arabic letters, which step 2 leaves alone, and its lookarounds see the
+    Latin words. The order of step 2's replacements does not matter: each
+    replaces one Latin letter, and none writes anything but Arabic letters.
 
-    Step 2 leaves a character with no entry as it is, so every character no
+    Step 2 leaves a character with no rule as it is, so every character no
     rule matched reaches the output unchanged; strict mode relies on that (see
     ``engine._NOT_ARABIC``), and ``RuleSet._first_unmatched`` finds where one
     stood.
 
-    Returns (step 1 regex, output of each group by index, translate table).
+    Returns (step 1 regex, output of each group by index, step 2's
+    ``{letter: output}``).
     """
     vowel_class = re.escape("".join(sorted(vowels)))
     alternatives = {
@@ -179,7 +182,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
         or "(?!)"
     )
     outputs = (None,) + tuple(rule.output for rule in ranked)
-    return regex, outputs, str.maketrans(letters)
+    return regex, outputs, letters
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,8 @@ class RuleSet:
     """
 
     rules: tuple
-    exceptions: Mapping = field(default_factory=dict)
+    # Not hashed: a read-only dict view is unhashable. Still compared.
+    exceptions: Mapping = field(default_factory=dict, hash=False)
     latin_vowels: frozenset = HAWAR_VOWELS
     version: str = "custom"
 
@@ -222,10 +226,10 @@ class RuleSet:
         set_attribute(self, "rules", rules)
         set_attribute(self, "exceptions", exceptions)
         set_attribute(self, "latin_vowels", vowels)
-        regex, outputs, table = _compile(rules, vowels)
+        regex, outputs, letters = _compile(rules, vowels)
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
-        set_attribute(self, "_table", table)
+        set_attribute(self, "_letters", letters)
         # The word memo of _outputs and its lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
@@ -239,9 +243,6 @@ class RuleSet:
             try:  # every word a hit: no Python code runs per word
                 return list(map(cache.__getitem__, words))
             except KeyError:
-                # Not rewritten in here: str.translate raises and clears a
-                # KeyError for each character its table lacks, which costs far
-                # more while another exception is being handled.
                 pass
             missing = set(words).difference(cache)
             if len(cache) + len(missing) > _CACHE_LIMIT:
@@ -256,10 +257,19 @@ class RuleSet:
             return list(map(cache.__getitem__, words))
 
     def _rewrite(self, folded: list) -> list:
-        """The output of each folded word of a batch: one regex pass, one translate."""
-        joined = _SEPARATOR.join(folded)
-        rewritten = self._regex.sub(self._group_output, joined).translate(self._table)
-        return list(map(self.exceptions.get, folded, rewritten.split(_SEPARATOR)))
+        """The output of each folded word of a batch.
+
+        One regex pass, one ``str.replace`` per single-letter ``any`` rule, one
+        split; the exception lexicon is looked up only for a batch holding one
+        of its words.
+        """
+        rewritten = self._regex.sub(self._group_output, _SEPARATOR.join(folded))
+        for letter, output in self._letters.items():
+            rewritten = rewritten.replace(letter, output)
+        outputs = rewritten.split(_SEPARATOR)
+        if self.exceptions.keys().isdisjoint(folded):
+            return outputs
+        return list(map(self.exceptions.get, folded, outputs))
 
     def _first_unmatched(self, word: str):
         """(index, char) of the first character of ``fold_word(word)`` no rule matches, or None.
@@ -274,7 +284,7 @@ class RuleSet:
         for match in self._regex.finditer(folded):
             covered.update(range(match.start(), match.end()))
         for index, char in enumerate(folded):
-            if index not in covered and ord(char) not in self._table:
+            if index not in covered and char not in self._letters:
                 return index, char
         return None
 

@@ -198,6 +198,12 @@ def test_ruleset_rejects_empty_exception_word():
         RuleSet((), {"": "ب"})
 
 
+def test_ruleset_hashes():
+    first, second = default_rules(), default_rules()
+    assert hash(first) == hash(second)
+    assert {first: "built-in"}[second] == "built-in"
+
+
 # -------------------------------------------------------------- defaults
 
 def test_default_contains_bizroke_rule(rs):
@@ -296,6 +302,25 @@ def test_round_trip_property(ruleset):
     assert parse_rules(serialize_rules(ruleset)) == ruleset
 
 
+@given(rulesets(), st.data())
+def test_random_tables_match_naive_text(table, data):
+    # Words over the rule alphabet plus a character no rule matches and an
+    # Arabic letter, or the table's exception words; some upper-cased.
+    word = st.text(st.sampled_from(sorted(LATIN_RULE_CHARS) + ["0", "ب"]), min_size=1, max_size=8)
+    if table.exceptions:
+        word |= st.sampled_from(sorted(table.exceptions))
+    word = st.builds(lambda text, upper: text.upper() if upper else text, word, st.booleans())
+    words = data.draw(st.lists(word, min_size=1, max_size=8))
+    text = words[0]
+    for following in words[1:]:
+        text += data.draw(st.sampled_from([" ", "\n", ", ", " 7 "])) + following
+    for strict in (False, True):
+        fresh = dataclasses.replace(table)  # an empty word memo: every word misses
+        assert outcome(transliterate_text, text, fresh, strict=strict) == outcome(
+            naive_transliterate_text, text, table, EngineConfig(), strict=strict
+        ), text
+
+
 # ------------------------------------------------------- rule precedence
 # Precedence is checked through the engine: the output, and the index of the
 # first unmatched character as strict mode reports it.
@@ -331,6 +356,13 @@ def test_lookup_initial_beats_any(rs):
 def test_lookup_none_for_foreign_char(rs):
     assert _parse("mot", rs) == ("مۆت", -1)
     assert _parse("m0t", rs) == ("م0ت", 1)
+
+
+def test_exceptions_inside_a_batch():
+    # Each text is its table's first batch, so every word misses: one batch
+    # holds no exception word, the other holds one in both cases.
+    assert transliterate_text("ûa dû", default_rules()) == "ئووئا دوو"
+    assert transliterate_text("Û û ûa dû", default_rules()) == "و و ئووئا دوو"
 
 
 def test_exception_word_has_no_unmatched_character():
@@ -370,7 +402,7 @@ _CONTEXT_ONLY_SET = RuleSet(
     + (Rule("q", Context.WORD_INITIAL, "ق"),),
     _DEFAULT.exceptions,
 )
-# Single-letter ``any`` rules alone: the translate step does all the work.
+# Single-letter ``any`` rules alone: step 2's replacements do all the work.
 _LETTERS_ONLY_SET = RuleSet(
     tuple(rule for rule in _DEFAULT.rules if len(rule.pattern) == 1 and rule.context is Context.ANY)
 )
