@@ -1,14 +1,16 @@
 """Transliteration engine: the text around the words.
 
 A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter. A text is split once into words and the gaps between them;
-the RuleSet gives every word's output in one call (it folds, memoizes and
-rewrites words; see rules.py), and the pieces are joined again. Every
-character outside a word gets the configured punctuation and digit mapping or
-passes through. The engine also places strict-mode errors, marks line-final
-full stops and returns NFC. No rule context crosses a word boundary and words
-never cross lines, so line-by-line processing gives byte-identical output to
-whole-text processing.
+least one letter. The word path splits a text into words and the gaps between
+them; the RuleSet gives every word's output in one call (it folds, memoizes
+and rewrites words; see rules.py), and the pieces are joined again. A long
+text first looks up each chunk between two spaces in the RuleSet's chunk
+memo; when most chunks hit, only the missed ones take the word path (see
+``_rewrite_long``). Every character outside a word gets the configured
+punctuation and digit mapping or passes through. The engine also places
+strict-mode errors, marks line-final full stops and returns NFC. No rule
+context crosses a word boundary and words never cross lines, so line-by-line
+processing gives byte-identical output to whole-text processing.
 """
 
 import re
@@ -75,7 +77,7 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     With ``strict`` a pass-through character raises UnmatchedCharacter
     instead.
     """
-    output = rs._outputs([word])[0]
+    (output,), _ = rs._outputs([word])
     if strict and (
         _NOT_ARABIC.search(output) or not _WORD.fullmatch(unicodedata.normalize("NFC", word))
     ):
@@ -121,23 +123,94 @@ _STOP_WITH_RLM = "." + RLM
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
+# A shorter text takes the word path alone. Short texts, such as one library
+# call per sentence, repeat few chunks, and filling the memo from them cost
+# api-short 3.2 MB (+17%) of peak RSS.
+_LONG_TEXT = 4096
+# A long text whose chunk memo misses exceed this share of its chunks takes
+# the word path whole: the lookups saved too little to pay for themselves.
+_CHUNK_MISS_SHARE = 1 / 4
+# A text that took the word path whole fills the chunk memo only when at most
+# this share of its words missed the word memo. CLI batches miss 0.006 of their
+# words on repeat-block and 0.043 or more on strict-lines, whose 20,000
+# distinct chunks per MB cost 3 MB of peak RSS and time when kept.
+_WORD_MISS_SHARE = 1 / 64
+# A longer chunk, such as a line without spaces, is rarely seen twice.
+_LONGEST_CHUNK = 64
+
+
 def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
     # normalize returns NFC text as it is, after its own quick check.
-    pieces = _WORD.split(unicodedata.normalize("NFC", text))
-    outputs = rs._outputs(pieces[1::2])
-    if strict and _NOT_ARABIC.search("".join(outputs)):
-        raise _strict_error(pieces, outputs, rs)
-    pieces[1::2] = outputs
+    text = unicodedata.normalize("NFC", text)
+    if len(text) < _LONG_TEXT:
+        out = _rewrite_words(text, rs, strict)[0]
+    else:
+        out = _rewrite_long(text, rs, strict)
     # Word output is Arabic letters or passed-through word characters, never
     # a mapped symbol, so the symbol mapping can run over the whole result.
-    out = map_symbols("".join(pieces), cfg)
+    out = map_symbols(out, cfg)
     if cfg.emit_rlm:
         out = _LINE_FINAL_STOP.sub(_STOP_WITH_RLM, out)
     # A word's output can compose with a combining mark after it.
     return unicodedata.normalize("NFC", out)
+
+
+def _rewrite_words(text: str, rs: RuleSet, strict: bool) -> tuple:
+    """The word path: (``text`` with each word replaced by its output, the
+    output of each word, how many distinct words missed the word memo)."""
+    pieces = _WORD.split(text)
+    outputs, misses = rs._outputs(pieces[1::2])
+    if strict and _NOT_ARABIC.search("".join(outputs)):
+        raise _strict_error(pieces, outputs, rs)
+    pieces[1::2] = outputs
+    return "".join(pieces), outputs, misses
+
+
+def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
+    """``text`` with each word replaced by its output, through the chunk memo.
+
+    A chunk is the text between two spaces. Words and their outputs never
+    hold a space (rules write only Arabic letters, and a character passed
+    through is a word character), so a rewritten text splits on spaces into
+    the rewrites of its chunks, one for one. The memo keeps only the chunks of
+    a batch whose every word matched a rule, so a hit hides nothing from
+    strict mode.
+    """
+    chunks = None
+    if rs._chunk_cache:  # unlocked: a stale answer only picks the path
+        chunks = text.split(" ")
+        rewrites = rs._chunk_outputs(chunks)
+        missed = rewrites.count(None)
+        if missed <= len(chunks) * _CHUNK_MISS_SHARE:
+            if not missed:
+                return " ".join(rewrites)
+            missing = [chunk for chunk, rewrite in zip(chunks, rewrites) if rewrite is None]
+            rewritten, outputs, _ = _rewrite_words(" ".join(missing), rs, strict=False)
+            if not _NOT_ARABIC.search("".join(outputs)):
+                _memoize(missing, rewritten, rs)
+            elif strict:  # raises, with the line and column in the whole text
+                return _rewrite_words(text, rs, strict)[0]
+            found = iter(rewritten.split(" "))
+            return " ".join([next(found) if rewrite is None else rewrite for rewrite in rewrites])
+    rewritten, outputs, misses = _rewrite_words(text, rs, strict)
+    if misses <= len(outputs) * _WORD_MISS_SHARE and not _NOT_ARABIC.search("".join(outputs)):
+        _memoize(chunks or text.split(" "), rewritten, rs)
+    return rewritten
+
+
+def _memoize(chunks: list, rewritten: str, rs: RuleSet) -> None:
+    """Memoize each chunk of ``chunks`` up to the length cap with its rewrite
+    (the chunks joined by spaces, rewritten, is ``rewritten``)."""
+    rs._keep_chunks(
+        {
+            chunk: rewrite
+            for chunk, rewrite in zip(chunks, rewritten.split(" "))
+            if len(chunk) <= _LONGEST_CHUNK
+        }
+    )
 
 
 def _strict_error(pieces: list, outputs: list, rs: RuleSet) -> UnmatchedCharacter:

@@ -2,7 +2,10 @@
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. A RuleSet owns a word's rewrite: it
-compiles its rules once and memoizes each raw word's output (``_outputs``).
+compiles its rules once and memoizes each raw word's output (``_outputs``),
+and keeps the engine's second memo, of space-separated chunks of text with
+their words rewritten (``_chunk_outputs``, ``_keep_chunks``); both memos share
+one lock and one size limit.
 The words of a batch that miss are case-folded (``fold_word``) and joined with
 a separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.replace``
@@ -121,7 +124,8 @@ _SEPARATOR = "\u2126"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
-# once per batch: one whose misses would overflow it clears the memo.
+# once per batch: one whose misses would overflow it clears the memo. The
+# chunk memo has the same limit and the same clear.
 _CACHE_LIMIT = 1 << 17
 
 
@@ -189,7 +193,9 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
 class RuleSet:
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
-    Immutable but for a private word memo behind a lock (``_outputs``); safe to
+    Immutable but for two private memos behind one lock: words to their
+    outputs (``_outputs``), and chunks of text between spaces to the chunk
+    with its words rewritten (``_chunk_outputs``, ``_keep_chunks``); safe to
     share across threads. Construction validates the table as a whole and
     compiles it (see ``_compile`` for the precedence policy).
     """
@@ -230,18 +236,22 @@ class RuleSet:
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
-        # The word memo of _outputs and its lock.
+        # The word memo of _outputs, the chunk memo and their one lock.
         set_attribute(self, "_word_cache", {})
+        set_attribute(self, "_chunk_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
-    def _outputs(self, words: list) -> list:
-        """The output of each raw word; misses are folded and rewritten in one batch."""
+    def _outputs(self, words: list) -> tuple:
+        """(the output of each raw word, how many distinct words missed the memo).
+
+        The misses are folded and rewritten in one batch.
+        """
         # The lock keeps one thread's clear from landing between another
         # thread's fill and its reads.
         with self._word_lock:
             cache = self._word_cache
             try:  # every word a hit: no Python code runs per word
-                return list(map(cache.__getitem__, words))
+                return list(map(cache.__getitem__, words)), 0
             except KeyError:
                 pass
             missing = set(words).difference(cache)
@@ -254,7 +264,26 @@ class RuleSet:
             # fold_word is looked up at each call, never bound to a local:
             # perfbench's tracer counts misses by replacing it.
             cache.update(zip(missing, self._rewrite(list(map(fold_word, missing)))))
-            return list(map(cache.__getitem__, words))
+            return list(map(cache.__getitem__, words)), len(missing)
+
+    def _chunk_outputs(self, chunks: list) -> list:
+        """The memoized rewrite of each chunk of text, None for a miss."""
+        with self._word_lock:
+            return list(map(self._chunk_cache.get, chunks))
+
+    def _keep_chunks(self, rewrites: dict) -> None:
+        """Memoize chunks of text (keys) with their words rewritten (values).
+
+        Only chunks whose every word matched a rule may enter, so a hit is
+        clean for strict mode too (the engine checks).
+        """
+        with self._word_lock:
+            cache = self._chunk_cache
+            if len(cache) + len(rewrites) > _CACHE_LIMIT:
+                cache.clear()
+                if len(rewrites) > _CACHE_LIMIT:  # too many to keep
+                    return
+            cache.update(rewrites)
 
     def _rewrite(self, folded: list) -> list:
         """The output of each folded word of a batch.
@@ -290,7 +319,7 @@ class RuleSet:
 
     def __reduce__(self):
         # Rebuilt through the constructor: the read-only exceptions view does
-        # not pickle, and the copy compiles its own regex with an empty memo.
+        # not pickle, and the copy compiles its own regex with empty memos.
         return RuleSet, (self.rules, dict(self.exceptions), self.latin_vowels, self.version)
 
 

@@ -7,7 +7,7 @@ import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawar2sorani import engine, rules, transliterate
@@ -22,7 +22,7 @@ from hawar2sorani.engine import (
     transliterate_text,
     transliterate_word,
 )
-from hawar2sorani.rules import default_rules, fold_word, parse_rules
+from hawar2sorani.rules import default_rules, fold_word, parse_rules, serialize_rules
 from helpers import (
     naive_fold,
     naive_parse,
@@ -418,5 +418,172 @@ def test_threads_sharing_a_clearing_cache(monkeypatch):
                 timeout=60,
             )
             assert list(results) == expected * 250
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# -------------------------------------------------------------- chunk memo
+# A text of engine._LONG_TEXT characters or more looks up its chunks between
+# spaces in the RuleSet's chunk memo first.
+
+_TINY_TABLE = "b\tany\tب\na\tany\tا\nn\tany\tن"
+
+
+def _long(block: str) -> str:
+    """``block`` repeated, joined by spaces, past the length threshold and
+    often enough that a fresh RuleSet's first call fills its chunk memo."""
+    repeats = max(round(1 / engine._WORD_MISS_SHARE), engine._LONG_TEXT // len(block) + 1)
+    return " ".join([block] * repeats)
+
+
+def _table_without_q():
+    """The built-in table but for its q rule: a q in a word is unmatched."""
+    return parse_rules(serialize_rules(default_rules()).replace("q\tany\tق\n", ""))
+
+
+def _random_words(rng, count):
+    """``count`` distinct Hawar words of two to four syllables."""
+    words = set()
+    while len(words) < count:
+        syllables = rng.randint(2, 4)
+        words.add("".join(rng.choice("bcçdfghjklmnpqrsştvwxz") + rng.choice("aeêiîouû") for _ in range(syllables)))
+    return sorted(words)
+
+
+_block_texts = st.lists(
+    st.one_of(
+        _hawar_words,
+        _hawar_words.map(str.upper),
+        _hawar_words.map(str.title),
+        _hawar_words.map(lambda word: word.replace("'", "’")),
+        st.sampled_from([",", "?", "12", ".", "«ok»", "\n", "\r\n", "1984.\r\n"]),
+    ),
+    min_size=1,
+    max_size=10,
+).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_texts, _block_texts)
+@example("Min qelem û tu", "baş")  # a q in the text that fills
+@example("Min û\r\ntu, 12", "qelem")  # a q in a chunk the memo misses
+def test_chunk_memo_matches_oracle(block, extra):
+    # One fresh table per example: the first call fills its chunk memo
+    # unless the text holds a q, the second hits it, and the last two miss it
+    # on the chunks of ``extra``. Each non-strict call comes before a strict
+    # one, so a chunk kept with a q would hide it from strict mode.
+    table = _table_without_q()
+    text = _long(block)
+    plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
+    calls = [
+        (text, plain, False),
+        (text, marked, True),
+        (text + "\n" + extra, plain, False),
+        (text + "\n" + extra, marked, True),
+    ]
+    for source, config, strict in calls:
+        expected = outcome(naive_transliterate_text, source, table, config, strict=strict)
+        assert outcome(transliterate_text, source, table, config, strict=strict) == expected
+
+
+def test_long_text_strict_after_non_strict_run():
+    # A clean text fills the chunk memo. The second text misses it on one
+    # chunk, which holds an unmatched q: strict mode must place it in the
+    # whole text, not in the chunks that missed.
+    tiny = parse_rules(_TINY_TABLE)
+    block = "ban\nna ban\nna, ban ban"
+    clean = _long(block)
+    assert transliterate_text(clean, tiny) == naive_transliterate_text(clean, tiny, EngineConfig())
+    assert tiny._chunk_cache
+    text = " ".join([block] * 100 + ["ban\nna baq ban"] + [block] * 100)
+    assert len(text) >= engine._LONG_TEXT
+    expected = outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict=True)
+    assert expected == ("q", 2, 202, 6)
+    assert outcome(transliterate_text, text, tiny, strict=True) == expected
+    assert transliterate_text(text, tiny) == naive_transliterate_text(text, tiny, EngineConfig())
+    assert "baq" not in tiny._chunk_cache
+    assert outcome(transliterate_text, text, tiny, strict=True) == expected
+
+
+def test_chunk_over_the_length_cap_is_not_kept():
+    long_chunk = "\n".join(["min", "tu"] * 20)  # no space in 119 characters
+    table = default_rules()
+    text = _long(f"min û tu, {long_chunk} dê û bav.")
+    expected = naive_transliterate_text(text, table, EngineConfig())
+    for strict in (False, True):  # fills, then hits all but the long chunk
+        assert transliterate_text(text, table, strict=strict) == expected
+    assert "tu," in table._chunk_cache
+    assert long_chunk not in table._chunk_cache
+    assert max(map(len, table._chunk_cache)) <= engine._LONGEST_CHUNK
+
+
+def test_chunk_memo_clears_mid_run(monkeypatch):
+    monkeypatch.setattr(rules, "_CACHE_LIMIT", 16)
+    tiny = parse_rules(_TINY_TABLE)
+    first = " ".join(["ban", "nab,", "ab."] * 400)
+    # 14 chunks the memo misses: with the 3 it holds, one over the limit.
+    second = first + " " + " ".join(f"b{'a' * length}n" for length in range(2, 16))
+    configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
+    sizes = []
+    for text in (first, second, first):
+        for config in configs:
+            for strict in (False, True):
+                expected = naive_transliterate_text(text, tiny, config)
+                assert transliterate_text(text, tiny, config, strict=strict) == expected
+                sizes.append(len(tiny._chunk_cache))
+    # The 14 missed chunks clear the memo and are kept alone; then the second
+    # text misses on most chunks, and its 17 are more than the memo may hold.
+    assert sizes == [3] * 4 + [14, 0, 0, 0] + [3] * 4
+
+
+def test_chunk_memo_stays_empty_where_it_cannot_help():
+    # Chunks kept that are not seen again cost peak RSS, which the benchmark
+    # bounds at +10% on every workload (BENCHMARK.json): the shapes of
+    # api-short and unique-words, and unmatched letters, fill nothing.
+    rng = random.Random(13)
+    table = default_rules()
+    vocabulary = _random_words(rng, 300)
+    for _ in range(5000):  # api-short: one call per short sentence
+        words = rng.choices(vocabulary, k=rng.randint(2, 9))
+        transliterate_text(" ".join(words) + rng.choice(".?, "), table)
+    assert table._chunk_cache == {}
+    distinct = _random_words(random.Random(14), 4000)  # unique-words
+    transliterate_text("\n".join(" ".join(distinct[i : i + 10]) for i in range(0, 4000, 10)), table)
+    assert table._chunk_cache == {}
+    without_q = _table_without_q()
+    text = _long("min qelem û tu")
+    assert transliterate_text(text, without_q) == naive_transliterate_text(text, without_q, EngineConfig())
+    assert without_q._chunk_cache == {}
+
+
+def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
+    # As test_threads_sharing_a_clearing_cache, on long texts: threads fill,
+    # read and clear the chunk memo too. Every other text is the one before
+    # it with one chunk holding an unmatched q, which misses the memo.
+    monkeypatch.setattr(rules, "_CACHE_LIMIT", 12)
+    tiny = parse_rules(_TINY_TABLE)
+    rng = random.Random(11)
+    pool = ["".join(rng.choice("ban") for _ in range(3)) + rng.choice(["", ",", "\n"]) for _ in range(30)]
+    texts = []
+    for _ in range(4):
+        chunks = rng.choices(rng.sample(pool, 6), k=1200)
+        texts.append(" ".join(chunks))
+        chunks[rng.randrange(1200)] = "baq"
+        texts.append(" ".join(chunks))
+    jobs = [(text, strict) for text in texts for strict in (False, True)]
+    expected = [
+        outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict)
+        for text, strict in jobs
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool_:
+            results = pool_.map(
+                lambda job: outcome(transliterate_text, job[0], tiny, strict=job[1]),
+                jobs * 15,
+                timeout=60,
+            )
+            assert list(results) == expected * 15
     finally:
         sys.setswitchinterval(interval)
