@@ -123,19 +123,18 @@ _STOP_WITH_RLM = "." + RLM
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
-# A shorter text takes the word path alone. Short texts, such as one library
-# call per sentence, repeat few chunks, and filling the memo from them cost
-# api-short 3.2 MB (+17%) of peak RSS.
+# Shorter texts take the word path alone: filling the memo from api-short's
+# one-sentence calls cost 3.2 MB (+17%) of peak RSS.
 _LONG_TEXT = 4096
-# A long text whose chunk memo misses exceed this share of its chunks takes
-# the word path whole: the lookups saved too little to pay for themselves.
+# A text missing more of its chunks takes the word path whole: on a 12 KB
+# text the chunk path was 14% faster at 1/4 missed and 19% slower at 2/5.
 _CHUNK_MISS_SHARE = 1 / 4
-# A text that took the word path whole fills the chunk memo only when at most
-# this share of its words missed the word memo. CLI batches miss 0.006 of their
-# words on repeat-block and 0.043 or more on strict-lines, whose 20,000
-# distinct chunks per MB cost 3 MB of peak RSS and time when kept.
+# A text run whole fills the memo only when at most this share of its words
+# missed the word memo: 0.006 on repeat-block batches, 0.043 or more on
+# strict-lines, where a 1/4 gate kept 19,134 chunks for 3 MB of peak RSS.
 _WORD_MISS_SHARE = 1 / 64
-# A longer chunk, such as a line without spaces, is rarely seen twice.
+# Longer chunks are never kept, which bounds each entry; no workload of the
+# benchmark has a chunk over 29 characters.
 _LONGEST_CHUNK = 64
 
 
