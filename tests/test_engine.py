@@ -446,7 +446,8 @@ def _random_words(rng, count):
     words = set()
     while len(words) < count:
         syllables = rng.randint(2, 4)
-        words.add("".join(rng.choice("bcçdfghjklmnpqrsştvwxz") + rng.choice("aeêiîouû") for _ in range(syllables)))
+        syllable = lambda: rng.choice("bcçdfghjklmnpqrsştvwxz") + rng.choice("aeêiîouû")
+        words.add("".join(syllable() for _ in range(syllables)))
     return sorted(words)
 
 
@@ -552,7 +553,8 @@ def test_chunk_memo_stays_empty_where_it_cannot_help():
     assert table._chunk_cache == {}
     without_q = _table_without_q()
     text = _long("min qelem û tu")
-    assert transliterate_text(text, without_q) == naive_transliterate_text(text, without_q, EngineConfig())
+    expected = naive_transliterate_text(text, without_q, EngineConfig())
+    assert transliterate_text(text, without_q) == expected
     assert without_q._chunk_cache == {}
 
 
@@ -563,10 +565,12 @@ def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
     monkeypatch.setattr(rules, "_CACHE_LIMIT", 12)
     tiny = parse_rules(_TINY_TABLE)
     rng = random.Random(11)
-    pool = ["".join(rng.choice("ban") for _ in range(3)) + rng.choice(["", ",", "\n"]) for _ in range(30)]
+    vocabulary = [
+        "".join(rng.choices("ban", k=3)) + rng.choice(["", ",", "\n"]) for _ in range(30)
+    ]
     texts = []
     for _ in range(4):
-        chunks = rng.choices(rng.sample(pool, 6), k=1200)
+        chunks = rng.choices(rng.sample(vocabulary, 6), k=1200)
         texts.append(" ".join(chunks))
         chunks[rng.randrange(1200)] = "baq"
         texts.append(" ".join(chunks))
@@ -578,8 +582,8 @@ def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool_:
-            results = pool_.map(
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = pool.map(
                 lambda job: outcome(transliterate_text, job[0], tiny, strict=job[1]),
                 jobs * 15,
                 timeout=60,
