@@ -19,9 +19,6 @@ import stat
 import sys
 import tempfile
 import unicodedata
-from importlib import resources
-from pathlib import Path
-from typing import Optional
 
 from .engine import (
     DigitMode,
@@ -30,7 +27,7 @@ from .engine import (
     UnmatchedCharacter,
     transliterate_text,
 )
-from .rules import RuleError, RuleSet, default_rules, load_rules
+from .rules import RuleError, RuleSet, default_rules, load_rules, read_data
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,7 +42,7 @@ BOM = "﻿"
 class MalformedPairLine(ValueError):
     """Corpus line that is not exactly `latin<TAB>expected`; ``line`` is 1-based."""
 
-    def __init__(self, reason: str, *, line: Optional[int] = None):
+    def __init__(self, reason: str, *, line: int | None = None):
         super().__init__(reason)
         self.line = line
 
@@ -56,7 +53,7 @@ class MalformedPairLine(ValueError):
 class InvalidInputBytes(ValueError):
     """Input that is not valid UTF-8; ``offset`` is the global byte offset."""
 
-    def __init__(self, reason: str, *, offset: Optional[int] = None):
+    def __init__(self, reason: str, *, offset: int | None = None):
         super().__init__(reason)
         self.offset = offset
 
@@ -94,9 +91,12 @@ def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
     ``path`` None checks the corpus shipped with the package. Returns (number
     of pairs, failures as (line, latin, expected, actual)).
     """
-    shipped = resources.files("hawar2sorani").joinpath("data/seed_corpus.tsv")
-    corpus = shipped if path is None else Path(path)
-    pairs = load_corpus(corpus.read_text(encoding="utf-8-sig"))
+    if path is None:
+        text = read_data("seed_corpus.tsv")
+    else:
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read()
+    pairs = load_corpus(text)
     failures = []
     for line, latin, expected in pairs:
         actual = transliterate_text(latin, rs, cfg)
@@ -251,7 +251,7 @@ def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def run(argv: Optional[list] = None) -> int:
+def run(argv: list | None = None) -> int:
     """CLI entry point, returning the exit status."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "check":

@@ -15,12 +15,10 @@ processing gives byte-identical output to whole-text processing.
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS
-from .rules import RuleSet
+from .rules import RuleSet, _Value
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -35,11 +33,24 @@ class PunctMode(Enum):
     ARABIC_SCRIPT = "arabic"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    digit_mode: DigitMode = DigitMode.KEEP
-    punct_mode: PunctMode = PunctMode.ARABIC_SCRIPT
-    emit_rlm: bool = False
+_PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
+_DIGITS_TO_ARABIC_INDIC = tuple(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+
+
+class EngineConfig(_Value):
+    """How the engine maps digits and punctuation and marks line-final full stops."""
+
+    __match_args__ = ("digit_mode", "punct_mode", "emit_rlm")
+
+    def __init__(
+        self, digit_mode=DigitMode.KEEP, punct_mode=PunctMode.ARABIC_SCRIPT, emit_rlm=False
+    ):
+        self._set_fields(digit_mode, punct_mode, emit_rlm)
+        # map_symbols' (symbol, replacement) pairs, built once per config.
+        pairs = _PUNCT_TO_ARABIC if punct_mode is PunctMode.ARABIC_SCRIPT else ()
+        if digit_mode is DigitMode.ARABIC_INDIC:
+            pairs += _DIGITS_TO_ARABIC_INDIC
+        object.__setattr__(self, "_symbol_pairs", pairs)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -56,8 +67,8 @@ class UnmatchedCharacter(ValueError):
         self,
         char: str,
         offset: int,
-        line: Optional[int] = None,
-        column: Optional[int] = None,
+        line: int | None = None,
+        column: int | None = None,
     ):
         # All four go to args, so the exception unpickles in another process.
         super().__init__(char, offset, line, column)
@@ -88,20 +99,11 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     return unicodedata.normalize("NFC", output)
 
 
-_PUNCT_TO_ARABIC = ((",", "،"), (";", "؛"), ("?", "؟"))
-_DIGITS_TO_ARABIC_INDIC = tuple(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))
-
-
 def map_symbols(text: str, cfg: EngineConfig) -> str:
     """Per-character symbol mapping; everything unconfigured is unchanged."""
     # One str.replace per symbol: str.translate is slow on non-ASCII text, and
     # no replacement is itself a symbol, so the order does not matter.
-    pairs = ()
-    if cfg.punct_mode is PunctMode.ARABIC_SCRIPT:
-        pairs += _PUNCT_TO_ARABIC
-    if cfg.digit_mode is DigitMode.ARABIC_INDIC:
-        pairs += _DIGITS_TO_ARABIC_INDIC
-    for symbol, replacement in pairs:
+    for symbol, replacement in cfg._symbol_pairs:
         text = text.replace(symbol, replacement)
     return text
 

@@ -21,17 +21,17 @@ Rule files are plain UTF-8 text, one rule per line:
 with context one of ``any``, ``initial``, ``after_vowel``, ``final``, or
 ``word`` (a whole-word exception), ``#`` comments, the visible marker ``∅``
 for empty output, and optional ``@version`` / ``@vowels`` directives. The
-built-in table is one such file, ``data/default.rules`` in this package.
+built-in table is one such file, ``data/default.rules`` in this package, read
+through the loader that imported this module (``read_data``): installed,
+editable or zipped, the package needs no temporary file.
 """
 
+import os
 import re
 import threading
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from types import MappingProxyType
-from typing import Mapping
 
 from .alphabets import ARABIC_LETTERS, CANONICAL_APOSTROPHE, HAWAR_VOWELS, LATIN_RULE_CHARS
 
@@ -82,6 +82,39 @@ def _check_chars(text: str, allowed: frozenset, side: str, entry=None) -> None:
             )
 
 
+class _Value:
+    """Base of ``Rule``, ``RuleSet`` and ``EngineConfig``: frozen dataclasses,
+    less the start-up cost of importing ``dataclasses``. ``__match_args__``
+    names the fields, which ``__init__`` sets with ``_set_fields``.
+    """
+
+    def _set_fields(self, *values) -> None:
+        # Not through vars(self): a materialized __dict__ slows every attribute read.
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Context(Enum):
     """Positional condition for a rule, evaluated on the Latin source side."""
 
@@ -91,23 +124,21 @@ class Context(Enum):
     WORD_FINAL = "final"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Value):
     """One Latin-pattern to Arabic-output mapping."""
 
-    pattern: str
-    context: Context
-    output: str
+    __match_args__ = ("pattern", "context", "output")
 
-    def __post_init__(self):
-        if not self.pattern:
+    def __init__(self, pattern: str, context: Context, output: str):
+        if not pattern:
             raise MalformedLine("empty pattern")
-        if len(self.pattern) > 3:
-            raise PatternTooLong(f"pattern {self.pattern!r} is longer than three characters")
-        _check_chars(self.pattern, LATIN_RULE_CHARS, "pattern")
-        if len(self.output) > 3:
-            raise OutputTooLong(f"output {self.output!r} is longer than three characters")
-        _check_chars(self.output, ARABIC_LETTERS, "output")
+        if len(pattern) > 3:
+            raise PatternTooLong(f"pattern {pattern!r} is longer than three characters")
+        _check_chars(pattern, LATIN_RULE_CHARS, "pattern")
+        if len(output) > 3:
+            raise OutputTooLong(f"output {output!r} is longer than three characters")
+        _check_chars(output, ARABIC_LETTERS, "output")
+        self._set_fields(pattern, context, output)
 
 
 def fold_word(word: str) -> str:
@@ -189,8 +220,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     return regex, outputs, letters
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(_Value):
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
     Immutable but for two private memos behind one lock: words to their
@@ -200,22 +230,20 @@ class RuleSet:
     compiles it (see ``_compile`` for the precedence policy).
     """
 
-    rules: tuple
-    # Not hashed: a read-only dict view is unhashable. Still compared.
-    exceptions: Mapping = field(default_factory=dict, hash=False)
-    latin_vowels: frozenset = HAWAR_VOWELS
-    version: str = "custom"
+    __match_args__ = ("rules", "exceptions", "latin_vowels", "version")
 
-    def __post_init__(self):
-        rules = tuple(self.rules)
-        exceptions = MappingProxyType(dict(self.exceptions))
-        vowels = frozenset(self.latin_vowels)
+    def __init__(
+        self, rules, exceptions=MappingProxyType({}), latin_vowels=HAWAR_VOWELS, version="custom"
+    ):
+        rules = tuple(rules)
+        exceptions = MappingProxyType(dict(exceptions))
+        vowels = frozenset(latin_vowels)
         _check_chars("".join(sorted(vowels)), LATIN_RULE_CHARS, "vowel set")
         # What an @version line gives back: parse_rules reads NFC text, ends
         # the line at a newline and strips the value.
-        read_back = unicodedata.normalize("NFC", self.version).strip()
-        if not read_back or "\n" in read_back or read_back != self.version:
-            raise MalformedLine(f"version {self.version!r} would not parse back from a rule file")
+        read_back = unicodedata.normalize("NFC", version).strip()
+        if not read_back or "\n" in read_back or read_back != version:
+            raise MalformedLine(f"version {version!r} would not parse back from a rule file")
         seen = set()
         for index, rule in enumerate(rules):
             if (rule.pattern, rule.context) in seen:
@@ -228,10 +256,8 @@ class RuleSet:
                 raise MalformedLine("empty exception word", entry=word)
             _check_chars(word, LATIN_RULE_CHARS, "exception word", entry=word)
             _check_chars(output, ARABIC_LETTERS, "exception output", entry=word)
+        self._set_fields(rules, exceptions, vowels, version)
         set_attribute = object.__setattr__
-        set_attribute(self, "rules", rules)
-        set_attribute(self, "exceptions", exceptions)
-        set_attribute(self, "latin_vowels", vowels)
         regex, outputs, letters = _compile(rules, vowels)
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
@@ -316,6 +342,10 @@ class RuleSet:
             if index not in covered and char not in self._letters:
                 return index, char
         return None
+
+    def __hash__(self):
+        # exceptions is compared but not hashed: a read-only dict view is unhashable.
+        return hash((self.rules, self.latin_vowels, self.version))
 
     def __reduce__(self):
         # Rebuilt through the constructor: the read-only exceptions view does
@@ -419,7 +449,12 @@ def load_rules(path) -> RuleSet:
         return parse_rules(handle.read())
 
 
+def read_data(name: str) -> str:
+    """The UTF-8 text of ``data/<name>`` in this package; a BOM at its start is ignored."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8-sig")
+
+
 def default_rules() -> RuleSet:
     """The built-in Hawar-to-Sorani table, shipped as ``data/default.rules``."""
-    table = resources.files("hawar2sorani").joinpath("data/default.rules")
-    return parse_rules(table.read_text(encoding="utf-8-sig"))
+    return parse_rules(read_data("default.rules"))

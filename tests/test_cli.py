@@ -429,6 +429,30 @@ def test_seed_corpus_path_exists(rs, cfg):
     assert total >= 22  # the regression pairs plus 20+ hand-checked ones
 
 
+_HEAVY_MODULES = {"dataclasses", "inspect", "importlib.resources", "typing", "pathlib"}
+
+
+def test_start_up_imports_no_heavy_module():
+    # Every run pays for start-up before it converts a word. Without site, as
+    # in a clean environment, importing the CLI and reading the built-in table
+    # and the shipped corpus must load none of these modules.
+    child = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "from hawar2sorani import cli\n"
+        "cli.check_corpus(None, cli.default_rules(), cli.EngineConfig())\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", child, src], capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "hawar2sorani.cli" in loaded
+    assert not loaded & _HEAVY_MODULES, sorted(loaded & _HEAVY_MODULES)
+
+
 def test_package_data_covers_data_files():
     # The tests import from src/, so a data file that pyproject.toml does not
     # ship would pass them and be missing only from the installed package.

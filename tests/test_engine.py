@@ -187,6 +187,85 @@ def test_symbols_everything_else_unchanged(cfg):
     assert map_symbols("«»!٣—", cfg) == "«»!٣—"
 
 
+@pytest.mark.parametrize(
+    "punct, digits, expected",
+    [
+        (PunctMode.KEEP, DigitMode.KEEP, "a,b;c?d 0123456789 «.»"),
+        (PunctMode.ARABIC_SCRIPT, DigitMode.KEEP, "a،b؛c؟d 0123456789 «.»"),
+        (PunctMode.KEEP, DigitMode.ARABIC_INDIC, "a,b;c?d ٠١٢٣٤٥٦٧٨٩ «.»"),
+        (PunctMode.ARABIC_SCRIPT, DigitMode.ARABIC_INDIC, "a،b؛c؟d ٠١٢٣٤٥٦٧٨٩ «.»"),
+    ],
+)
+def test_symbols_every_mode_combination(punct, digits, expected):
+    # Every mapped symbol, once, in every combination of the two modes.
+    assert map_symbols("a,b;c?d 0123456789 «.»", EngineConfig(digits, punct)) == expected
+
+
+# ------------------------------------------------------------ EngineConfig
+
+_CONFIG_REPR = (
+    "EngineConfig(digit_mode=<DigitMode.ARABIC_INDIC: 'arabic'>, "
+    "punct_mode=<PunctMode.KEEP: 'keep'>, emit_rlm=True)"
+)
+
+
+def test_config_constructs_with_defaults_and_by_keyword():
+    default = EngineConfig()
+    assert (default.digit_mode, default.punct_mode, default.emit_rlm) == (
+        DigitMode.KEEP,
+        PunctMode.ARABIC_SCRIPT,
+        False,
+    )
+    assert default == engine.DEFAULT_CONFIG
+    custom = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    assert custom == EngineConfig(
+        emit_rlm=True, punct_mode=PunctMode.KEEP, digit_mode=DigitMode.ARABIC_INDIC
+    )
+    assert EngineConfig(DigitMode.ARABIC_INDIC) == EngineConfig(digit_mode=DigitMode.ARABIC_INDIC)
+    with pytest.raises(TypeError):
+        EngineConfig(DigitMode.KEEP, PunctMode.KEEP, False, False)
+    with pytest.raises(TypeError):
+        EngineConfig(rlm=True)
+
+
+def test_config_equality_hash_and_repr():
+    custom = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    same = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    assert custom == same and not custom != same and hash(custom) == hash(same)
+    assert custom != EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, False)
+    assert custom != EngineConfig()
+    # Equal only to an EngineConfig, not to a tuple of the same fields.
+    fields = (DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    assert custom != fields and custom.__eq__(fields) is NotImplemented
+    assert len({custom, same, EngineConfig()}) == 2
+    assert repr(custom) == _CONFIG_REPR
+    assert repr(EngineConfig()) == (
+        "EngineConfig(digit_mode=<DigitMode.KEEP: 'keep'>, "
+        "punct_mode=<PunctMode.ARABIC_SCRIPT: 'arabic'>, emit_rlm=False)"
+    )
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_config_pickles(protocol):
+    custom = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    copy = pickle.loads(pickle.dumps(custom, protocol))
+    assert type(copy) is EngineConfig and copy == custom and hash(copy) == hash(custom)
+    assert repr(copy) == _CONFIG_REPR
+    assert map_symbols("1,", copy) == "١,"
+
+
+def test_config_refuses_every_assignment_and_deletion():
+    config = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP, True)
+    names = ("digit_mode", "punct_mode", "emit_rlm")
+    for name in names + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(config, name, None)
+        with pytest.raises(AttributeError):
+            delattr(config, name)
+    assert repr(config) == _CONFIG_REPR
+    assert not hasattr(config, "not_a_field")
+
+
 # -------------------------------------------------------- transliterate_text
 
 def test_text_sentence(rs, cfg):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pickle
 
@@ -178,7 +177,7 @@ def test_ruleset_rejects_duplicates():
 
 
 def test_ruleset_is_frozen(rs):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rs.rules = (Rule("b", Context.ANY, "پ"),)
     assert transliterate_word("bab", rs) == "باب"
 
@@ -202,6 +201,161 @@ def test_ruleset_hashes():
     first, second = default_rules(), default_rules()
     assert hash(first) == hash(second)
     assert {first: "built-in"}[second] == "built-in"
+
+
+# --------------------------------------------------------- value semantics
+# Rule and RuleSet are immutable values: construction, equality, hash, repr,
+# pickling and the order of validation errors are pinned here.
+
+_B = Rule("b", Context.ANY, "ب")
+_B_REPR = "Rule(pattern='b', context=<Context.ANY: 'any'>, output='ب')"
+
+
+def test_rule_constructs_positionally_and_by_keyword():
+    assert (_B.pattern, _B.context, _B.output) == ("b", Context.ANY, "ب")
+    assert Rule(output="ب", pattern="b", context=Context.ANY) == _B
+    assert Rule("b", Context.ANY, output="ب") == _B
+    with pytest.raises(TypeError):
+        Rule("b", Context.ANY)
+    with pytest.raises(TypeError):
+        Rule("b", Context.ANY, "ب", "پ")
+
+
+def test_rule_equality_and_hash():
+    same = Rule("b", Context.ANY, "ب")
+    assert same == _B and not same != _B and hash(same) == hash(_B)
+    assert _B != Rule("b", Context.WORD_INITIAL, "ب")
+    assert _B != Rule("p", Context.ANY, "ب")
+    assert _B != Rule("b", Context.ANY, "پ")
+    # Equal only to a Rule, not to a tuple of the same fields.
+    assert _B != ("b", Context.ANY, "ب")
+    assert _B.__eq__(("b", Context.ANY, "ب")) is NotImplemented
+    assert len({_B, same, Rule("p", Context.ANY, "پ")}) == 2
+
+
+def test_rule_repr():
+    assert repr(_B) == _B_REPR
+    assert repr(Rule("ll", Context.ANY, "ڵ")) == (
+        "Rule(pattern='ll', context=<Context.ANY: 'any'>, output='ڵ')"
+    )
+    assert repr(Rule("i", Context.WORD_INITIAL, "")) == (
+        "Rule(pattern='i', context=<Context.WORD_INITIAL: 'initial'>, output='')"
+    )
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_rule_pickles(protocol):
+    copy = pickle.loads(pickle.dumps(_B, protocol))
+    assert type(copy) is Rule and copy == _B and hash(copy) == hash(_B)
+    assert repr(copy) == _B_REPR
+
+
+@pytest.mark.parametrize(
+    "pattern, output, error",
+    [
+        # The pattern is checked before the output, its length before its
+        # characters, and so is the output.
+        ("", "خخخخ", MalformedLine),
+        ("abcd", "x", PatternTooLong),
+        ("B", "خخخخ", IllegalCharacter),
+        ("b", "xxxx", OutputTooLong),
+        ("b", "x", IllegalCharacter),
+    ],
+)
+def test_rule_validation_order(pattern, output, error):
+    with pytest.raises(RuleError) as exc_info:
+        Rule(pattern, Context.ANY, output)
+    assert type(exc_info.value) is error
+
+
+def test_ruleset_constructs_with_defaults_and_by_keyword():
+    table = RuleSet([_B])
+    assert table.rules == (_B,)  # any iterable, kept as a tuple
+    assert table.exceptions == {} and table.latin_vowels == HAWAR_VOWELS
+    assert table.version == "custom"
+    keyword = RuleSet(version="t1", latin_vowels="ae", exceptions={"û": "و"}, rules=(_B,))
+    assert keyword == RuleSet((_B,), {"û": "و"}, frozenset("ae"), "t1")
+    assert keyword.latin_vowels == frozenset("ae")  # any iterable, kept as a frozenset
+    assert type(keyword.latin_vowels) is frozenset
+    with pytest.raises(TypeError):
+        RuleSet()
+    with pytest.raises(TypeError):
+        RuleSet((_B,), {}, HAWAR_VOWELS, "t1", "extra")
+
+
+def test_ruleset_equality_and_hash():
+    plain = RuleSet((_B,))
+    assert plain == RuleSet((_B,)) and hash(plain) == hash(RuleSet((_B,)))
+    assert plain != RuleSet((_B,), version="t1")
+    assert plain != RuleSet((_B,), latin_vowels=frozenset("a"))
+    assert plain != RuleSet((Rule("b", Context.ANY, "پ"),))
+    # exceptions are compared but not hashed.
+    with_exception = RuleSet((_B,), {"û": "و"})
+    assert with_exception != plain and hash(with_exception) == hash(plain)
+    assert len({plain, with_exception, RuleSet((_B,))}) == 2
+    # Equal only to a RuleSet, not to a tuple of the same fields.
+    fields = (plain.rules, plain.exceptions, plain.latin_vowels, plain.version)
+    assert plain != fields and plain.__eq__(fields) is NotImplemented
+
+
+def test_ruleset_repr():
+    table = RuleSet((_B,), {"û": "و"}, frozenset("a"), "t1")
+    assert repr(table) == (
+        f"RuleSet(rules=({_B_REPR},), exceptions=mappingproxy({{'û': 'و'}}), "
+        "latin_vowels=frozenset({'a'}), version='t1')"
+    )
+    assert repr(RuleSet((), latin_vowels=())) == (
+        "RuleSet(rules=(), exceptions=mappingproxy({}), latin_vowels=frozenset(), "
+        "version='custom')"
+    )
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_ruleset_pickles_with_every_protocol(protocol):
+    table = RuleSet((_B, Rule("a", Context.WORD_FINAL, "ا")), {"û": "و"}, frozenset("a"), "t1")
+    copy = pickle.loads(pickle.dumps(table, protocol))
+    assert type(copy) is RuleSet and copy == table and hash(copy) == hash(table)
+    assert repr(copy) == repr(table)
+    assert transliterate_text("ba û", copy) == "با و"
+
+
+@pytest.mark.parametrize(
+    "arguments, error, entry",
+    [
+        # The vowel set is checked first, then the version, then duplicate
+        # rules, then each exception.
+        (((_B, _B), {"": "ب"}, frozenset("1"), ""), IllegalCharacter, None),
+        (((_B, _B), {"": "ب"}, HAWAR_VOWELS, ""), MalformedLine, None),
+        (((_B, _B), {"": "ب"}, HAWAR_VOWELS, "t1"), DuplicateRule, 1),
+        (((_B,), {"": "ب"}, HAWAR_VOWELS, "t1"), MalformedLine, ""),
+        (((_B,), {"b": "x"}, HAWAR_VOWELS, "t1"), IllegalCharacter, "b"),
+    ],
+)
+def test_ruleset_validation_order(arguments, error, entry):
+    with pytest.raises(RuleError) as exc_info:
+        RuleSet(*arguments)
+    assert (type(exc_info.value), exc_info.value.entry) == (error, entry)
+
+
+_FIELDS = {
+    Rule: ("pattern", "context", "output"),
+    RuleSet: ("rules", "exceptions", "latin_vowels", "version"),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [_B, RuleSet((_B,), {"û": "و"})], ids=lambda value: type(value).__name__
+)
+def test_values_refuse_every_assignment_and_deletion(value):
+    names = _FIELDS[type(value)]
+    before = repr(value), [getattr(value, name) for name in names]
+    for name in names + ("not_a_field", "_word_cache"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (repr(value), [getattr(value, name) for name in names]) == before
+    assert not hasattr(value, "not_a_field")
 
 
 # -------------------------------------------------------------- defaults
@@ -315,7 +469,8 @@ def test_random_tables_match_naive_text(table, data):
     for following in words[1:]:
         text += data.draw(st.sampled_from([" ", "\n", ", ", " 7 "])) + following
     for strict in (False, True):
-        fresh = dataclasses.replace(table)  # an empty word memo: every word misses
+        # An empty word memo: every word misses.
+        fresh = RuleSet(table.rules, table.exceptions, table.latin_vowels, table.version)
         assert outcome(transliterate_text, text, fresh, strict=strict) == outcome(
             naive_transliterate_text, text, table, EngineConfig(), strict=strict
         ), text
