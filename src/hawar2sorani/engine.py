@@ -10,7 +10,9 @@ memo; when most chunks hit, only the missed ones take the word path (see
 punctuation and digit mapping or passes through. The engine also places
 strict-mode errors, marks line-final full stops and returns NFC. No rule
 context crosses a word boundary and words never cross lines, so line-by-line
-processing gives byte-identical output to whole-text processing.
+processing gives byte-identical output to whole-text processing. A long text
+holding decomposed Kurdish letters is normalized line by line, with the same
+result.
 """
 
 import re
@@ -125,6 +127,8 @@ _STOP_WITH_RLM = "." + RLM
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
+# The combining marks in the NFD forms of the Kurdish letters: ê î û, ḧ ẍ, ç ş.
+_NFD_MARKS = _CIRCUMFLEX, _DIAERESIS, _CEDILLA = "\u0302", "\u0308", "\u0327"
 # Shorter texts take the word path alone: filling the memo from api-short's
 # one-sentence calls cost 3.2 MB (+17%) of peak RSS.
 _LONG_TEXT = 4096
@@ -144,8 +148,14 @@ def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
-    # normalize returns NFC text as it is, after its own quick check.
-    text = unicodedata.normalize("NFC", text)
+    # normalize returns NFC text as it is, after its own quick check, but one
+    # NFD letter makes it rewrite the whole text; line by line, only the lines
+    # holding one are rewritten. "\n" is a starter that composes with nothing,
+    # so NFC never composes or reorders across it and both give the same text.
+    if len(text) >= _LONG_TEXT and (_CIRCUMFLEX in text or _DIAERESIS in text or _CEDILLA in text):
+        text = "\n".join([unicodedata.normalize("NFC", line) for line in text.split("\n")])
+    else:
+        text = unicodedata.normalize("NFC", text)
     if len(text) < _LONG_TEXT:
         out = _rewrite_words(text, rs, strict)[0]
     else:

@@ -3,6 +3,7 @@ import multiprocessing
 import pickle
 import random
 import sys
+import types
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -670,3 +671,107 @@ def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
             assert list(results) == expected * 15
     finally:
         sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------- normalization
+# A text of engine._LONG_TEXT characters or more holding a combining mark of a
+# decomposed Kurdish letter is normalized line by line, any other text whole.
+
+_KURDISH_MARKS = ("\u0302", "\u0308", "\u0327")
+
+
+def _normalized(monkeypatch):
+    """The list of texts the engine passes to unicodedata.normalize from now."""
+    texts = []
+
+    def recording_normalize(form, text):
+        texts.append(text)
+        return unicodedata.normalize(form, text)
+
+    monkeypatch.setattr(engine, "unicodedata", types.SimpleNamespace(normalize=recording_normalize))
+    return texts
+
+
+def test_gate_marks_are_those_of_the_kurdish_letters(monkeypatch, rs):
+    marks = {
+        c
+        for letter in KURDISH_LATIN_LETTERS
+        for c in unicodedata.normalize("NFD", letter)
+        if unicodedata.combining(c)
+    }
+    assert set(engine._NFD_MARKS) == marks == set(_KURDISH_MARKS)
+    for mark in sorted(marks):
+        text = "\n".join(["min û tu", "dê" + mark + " bav"] * 300)
+        normalized = _normalized(monkeypatch)
+        assert transliterate_text(text, rs) == naive_transliterate_text(text, rs, EngineConfig())
+        # One call per line, then the output's.
+        assert len(normalized) == text.count("\n") + 2, repr(mark)
+        short = "min û tu\ndê" + mark + " bav"
+        normalized = _normalized(monkeypatch)
+        assert transliterate_text(short, rs) == naive_transliterate_text(short, rs, EngineConfig())
+        assert normalized[0] == short and len(normalized) == 2, repr(mark)
+
+
+_word_forms = st.tuples(
+    st.one_of(_hawar_words, _hawar_words.map(str.upper)), st.sampled_from(["NFC", "NFD"])
+).map(lambda word_form: unicodedata.normalize(word_form[1], word_form[0]))
+_mark_pieces = st.tuples(
+    st.sampled_from(["\n{}", "{}\n", " {}", "7{}", "{}", "e{}", "s{}", "min{}"]),
+    st.sampled_from([*_KURDISH_MARKS, "\u0301", "\u0323", "\u0654"]),
+).map(lambda piece_mark: piece_mark[0].format(piece_mark[1]))
+_marked_blocks = st.lists(
+    st.one_of(_word_forms, _mark_pieces, st.sampled_from(["\r\n", "\n\n", ",", "12", "."])),
+    min_size=1,
+    max_size=12,
+).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_marked_blocks, st.booleans())
+def test_both_normalization_paths_match_oracle(block, long):
+    # Long texts repeat the block on lines of their own, so a mark at either
+    # end of it lands at a line start or end. One fresh table per example; the
+    # plain call may fill its chunk memo before the strict one.
+    table = _table_without_q()
+    text = "\n".join([block] * (engine._LONG_TEXT // len(block) + 1)) if long else block
+    assert (len(text) >= engine._LONG_TEXT) == long
+    plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
+    for config, strict in ((plain, False), (marked, True), (plain, True)):
+        expected = outcome(naive_transliterate_text, text, table, config, strict=strict)
+        assert outcome(transliterate_text, text, table, config, strict=strict) == expected
+
+
+def test_long_text_mark_starting_a_line_stays_uncomposed(monkeypatch, rs):
+    text = "\n".join(["min û tu", "e", "\u0302 bav"] * 300)
+    assert len(text) >= engine._LONG_TEXT
+    normalized = _normalized(monkeypatch)
+    out = transliterate_text(text, rs)
+    assert len(normalized) == text.count("\n") + 2  # line by line
+    assert out == naive_transliterate_text(text, rs, EngineConfig())
+    assert out.startswith("من و تو\nئە\n\u0302 باڤ\n")
+
+
+def test_long_text_with_only_another_mark_is_normalized_whole(monkeypatch, rs):
+    text = "\n".join(["min û tu", "dê\u0301 bav"] * 300)
+    assert len(text) >= engine._LONG_TEXT
+    normalized = _normalized(monkeypatch)
+    out = transliterate_text(text, rs)
+    assert normalized[0] == text and len(normalized) == 2
+    assert out == naive_transliterate_text(text, rs, EngineConfig())
+
+
+def test_long_dirty_text_strict_error_column(monkeypatch):
+    # The column counts the characters of the NFC line: 12, where the text
+    # as given has q at 16.
+    table = _table_without_q()
+    line = unicodedata.normalize("NFD", "Çiya û şêr qelem")
+    assert line.index("q") + 1 == 16
+    text = "\n".join(["min û tu"] * 600 + [line] + ["dê û bav"] * 10)
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == ("q", 0, 601, 12)
+    normalized = _normalized(monkeypatch)
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert len(normalized) == text.count("\n") + 1  # line by line, then raised
+    plain = naive_transliterate_text(text, table, EngineConfig())
+    assert transliterate_text(text, table) == plain
+    assert outcome(transliterate_text, text, table, strict=True) == expected
