@@ -8,8 +8,10 @@ nonzero when any pair disagrees.
 
 Exit codes: 0 success, 1 corpus-check failures, 2 an input or output file
 cannot be read or written, or invalid UTF-8, 3 rule-file errors, 4 unmatched
-character in --strict mode. A run that fails leaves an existing output file
-as it was and creates none.
+character in --strict mode, 141 (128 + SIGPIPE, what a shell reports for a
+filter that SIGPIPE ended) when the reader of the output goes away, as in
+``translit big.txt | head``, with nothing printed. A run that fails leaves an
+existing output file as it was and creates none.
 """
 
 import argparse
@@ -34,6 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RULES = 3
 EXIT_STRICT = 4
+EXIT_BROKEN_PIPE = 128 + 13
 
 BOM = "﻿"
 
@@ -248,6 +251,7 @@ def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
     for line, latin, expected, actual in failures:
         print(f"line {line}: {latin!r} -> {actual!r} (expected {expected!r})")
     print(f"check: {total - len(failures)}/{total} pairs passed")
+    sys.stdout.flush()  # a broken pipe raises here, not at exit
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
@@ -268,6 +272,11 @@ def run(argv: list | None = None) -> int:
     except UnmatchedCharacter as exc:
         print(f"translit: {exc}", file=sys.stderr)  # names line:column
         return EXIT_STRICT
+    except BrokenPipeError:
+        # Python flushes stdout at exit; pointed at /dev/null, that flush
+        # cannot fail again and print "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, UnicodeDecodeError, InvalidInputBytes, MalformedPairLine) as exc:
         print(f"translit: {exc}", file=sys.stderr)
         return EXIT_INPUT

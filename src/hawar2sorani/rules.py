@@ -5,7 +5,9 @@ output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
 and keeps the engine's second memo, of space-separated chunks of text with
 their words rewritten (``_chunk_outputs``, ``_keep_chunks``); both memos share
-one lock and one size limit.
+one lock and one size limit. A batch of 512 words or more in which no word
+repeats or hits the word memo, such as a word list, is rewritten without
+filling it: such words would only push out words that do repeat.
 The words of a batch that miss are case-folded (``fold_word``) and joined with
 a separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.replace``
@@ -155,9 +157,19 @@ _SEPARATOR = "\u2126"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
-# once per batch: one whose misses would overflow it clears the memo. The
-# chunk memo has the same limit and the same clear.
+# once per batch: one whose misses would overflow it clears the memo. A long
+# batch in which no word repeats or hits the memo (a word list) fills nothing
+# (see _UNIQUE_BATCH). The chunk memo has the same limit and the same clear.
 _CACHE_LIMIT = 1 << 17
+# A batch of at least this many words, none repeated and none in the memo, is
+# rewritten without filling the memo. Prose never has such a batch: in the
+# benchmark's repeat-block and strict-lines texts (seeds 101 and 523) the
+# longest run of words with no repeat is 31-33 words, and api-short's
+# sentences have 2-9. Every 32 KB CLI batch of unique-words has 3,872 words or
+# more; filling the memo from them never gave a hit, and skipping the fill cut
+# the CLI's peak RSS on that input from 40.7 to 16.5 MB and cli._stream's time
+# from 297-336 to 225-252 ms (seed 101, best of 7, 3 alternations).
+_UNIQUE_BATCH = 512
 
 
 def _compile(rules: tuple, vowels: frozenset) -> tuple:
@@ -270,7 +282,10 @@ class RuleSet(_Value):
     def _outputs(self, words: list) -> tuple:
         """(the output of each raw word, how many distinct words missed the memo).
 
-        The misses are folded and rewritten in one batch.
+        The misses are folded and rewritten in one batch and memoized, unless
+        the batch has ``_UNIQUE_BATCH`` words or more and every one of them
+        missed: no word of it repeats or is in the memo, so memoizing them
+        would cost memory and time for no hit.
         """
         # The lock keeps one thread's clear from landing between another
         # thread's fill and its reads.
@@ -281,6 +296,8 @@ class RuleSet(_Value):
             except KeyError:
                 pass
             missing = set(words).difference(cache)
+            if len(missing) == len(words) >= _UNIQUE_BATCH:  # kept, it would never hit
+                return self._rewrite(list(map(fold_word, words))), len(words)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
                 missing = set(words)

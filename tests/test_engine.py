@@ -401,6 +401,10 @@ def test_fold_word_called_once_per_distinct_miss(monkeypatch):
     folded.clear()
     assert transliterate_word("Kurdistan", table, strict=True) == "کوردستان"
     assert folded == []
+    # A long text of distinct words, memoized or not, folds each word once.
+    words = _random_words(random.Random(29), 3000)
+    transliterate_text(" ".join(words), table)
+    assert sorted(folded) == words
 
 
 # ---------------------------------------------------------------- properties
@@ -671,6 +675,79 @@ def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
             assert list(results) == expected * 15
     finally:
         sys.setswitchinterval(interval)
+
+
+# ------------------------------------------------------------- word lists
+# A batch of rules._UNIQUE_BATCH words or more in which no word repeats or
+# hits the word memo is rewritten without filling it.
+
+
+def _word_list(words: list) -> str:
+    """``words`` in lines of ten, as in a lexicon: every seventh capitalized,
+    lines ending in a comma, a full stop or a full stop and CRLF."""
+    lines = []
+    for start in range(0, len(words), 10):
+        line = words[start : start + 10]
+        line = [word.title() if i % 7 == 0 else word for i, word in enumerate(line, start)]
+        lines.append(" ".join(line) + (",", ".", ".\r")[start // 10 % 3])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [rules._UNIQUE_BATCH, 3000])
+def test_long_batch_of_distinct_words_fills_no_memo(count):
+    words = _random_words(random.Random(count), count)
+    text = _word_list(words)
+    # The shorter text takes the word path alone, the longer the chunk path.
+    assert (len(text) >= engine._LONG_TEXT) == (count == 3000)
+    table = default_rules()
+    configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
+    for config in configs:
+        for strict in (False, True):
+            expected = naive_transliterate_text(text, table, config)
+            assert transliterate_text(text, table, config, strict=strict) == expected
+            assert table._word_cache == {}
+            assert table._chunk_cache == {}
+
+
+def test_long_batch_of_distinct_words_strict_error_position():
+    # Without the q rule, the one word holding a q is unmatched.
+    table = _table_without_q()
+    words = [word for word in _random_words(random.Random(17), 3300) if "q" not in word]
+    words[2345] = "baqo"
+    text = _word_list(words[:3000])
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == ("q", 2, 235, 34)
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert table._word_cache == {}
+    assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert table._word_cache == {}
+
+
+def test_one_repeat_or_memo_hit_fills_the_memo():
+    words = _random_words(random.Random(19), 3000)
+    table = default_rules()
+    repeated = words + [words[1]]  # in lower case both times
+    expected = naive_transliterate_text(_word_list(repeated), table, EngineConfig())
+    assert transliterate_text(_word_list(repeated), table) == expected
+    assert len(table._word_cache) == 3000
+    table = default_rules()
+    known = words[5]  # not capitalized by _word_list
+    transliterate_word(known, table)
+    assert list(table._word_cache) == [known]
+    expected = naive_transliterate_text(_word_list(words), table, EngineConfig())
+    assert transliterate_text(_word_list(words), table) == expected
+    assert len(table._word_cache) == 3000
+
+
+def test_short_batches_of_distinct_words_fill_the_memo():
+    table = default_rules()
+    assert transliterate_text("Min û tu diçin.", table) == "من و تو دچن."
+    assert sorted(table._word_cache) == ["Min", "diçin", "tu", "û"]
+    words = _random_words(random.Random(23), rules._UNIQUE_BATCH - 1)
+    text = _word_list(words)
+    assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
+    assert len(table._word_cache) == 4 + len(words)
 
 
 # ----------------------------------------------------------- normalization
