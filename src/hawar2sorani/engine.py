@@ -4,15 +4,14 @@ A word is a maximal run of Kurdish Latin letters and apostrophes holding at
 least one letter. The word path splits a text into words and the gaps between
 them; the RuleSet gives every word's output in one call (it folds, memoizes
 and rewrites words; see rules.py), and the pieces are joined again. A long
-text first looks up each chunk between two spaces in the RuleSet's chunk
-memo; when most chunks hit, only the missed ones take the word path (see
-``_rewrite_long``). Every character outside a word gets the configured
-punctuation and digit mapping or passes through. The engine also places
-strict-mode errors, marks line-final full stops and returns NFC. No rule
-context crosses a word boundary and words never cross lines, so line-by-line
-processing gives byte-identical output to whole-text processing. A long text
-holding decomposed Kurdish letters is normalized line by line, with the same
-result.
+text whose every line is in the RuleSet's line memo is joined from it
+instead (see ``_rewrite_long``). Every character outside a word gets the
+configured punctuation and digit mapping or passes through. The engine also
+places strict-mode errors, marks line-final full stops and returns NFC. No
+rule context crosses a word boundary and words never cross lines, so
+line-by-line processing gives byte-identical output to whole-text
+processing. A long text holding decomposed Kurdish letters is normalized
+line by line, with the same result.
 """
 
 import re
@@ -132,16 +131,15 @@ _NFD_MARKS = _CIRCUMFLEX, _DIAERESIS, _CEDILLA = "\u0302", "\u0308", "\u0327"
 # Shorter texts take the word path alone: filling the memo from api-short's
 # one-sentence calls cost 3.2 MB (+17%) of peak RSS.
 _LONG_TEXT = 4096
-# A text missing more of its chunks takes the word path whole: on a 12 KB
-# text the chunk path was 14% faster at 1/4 missed and 19% slower at 2/5.
-_CHUNK_MISS_SHARE = 1 / 4
-# A text run whole fills the memo only when at most this share of its words
-# missed the word memo: 0.006 on repeat-block batches, 0.043 or more on
-# strict-lines, where a 1/4 gate kept 19,134 chunks for 3 MB of peak RSS.
+# A text run through the words fills the line memo only when at most this
+# share of its words missed the word memo: 0.006 in repeat-block's first batch,
+# 0.044 or more on strict-lines, where a 1/4 gate kept 14,804 lines for 4.7 MB
+# of peak RSS (seed 101).
 _WORD_MISS_SHARE = 1 / 64
-# Longer chunks are never kept, which bounds each entry; no workload of the
-# benchmark has a chunk over 29 characters.
-_LONGEST_CHUNK = 64
+# Longer lines are never kept, which bounds each entry. On seed 101 the longest
+# line that repeats has 56 characters on repeat-block and 25 on strict-lines,
+# and unique-words repeats no line.
+_LONGEST_LINE = 64
 
 
 def transliterate_text(
@@ -181,47 +179,30 @@ def _rewrite_words(text: str, rs: RuleSet, strict: bool) -> tuple:
 
 
 def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
-    """``text`` with each word replaced by its output, through the chunk memo.
+    """``text`` with each word replaced by its output: joined from the line
+    memo when it holds every line, else through the word path, which may
+    fill it.
 
-    A chunk is the text between two spaces. Words and their outputs never
-    hold a space (rules write only Arabic letters, and a character passed
-    through is a word character), so a rewritten text splits on spaces into
-    the rewrites of its chunks, one for one. The memo keeps only the chunks of
-    a batch whose every word matched a rule, so a hit hides nothing from
-    strict mode.
+    Words and their outputs never hold a newline (rules write only Arabic
+    letters, and a character passed through is a word character), so a
+    rewritten text splits on newlines into the rewrites of its lines, one for
+    one. The memo keeps only the lines of a text whose every word matched a
+    rule, so a hit hides nothing from strict mode.
     """
-    chunks = None
-    if rs._chunk_cache:  # unlocked: a stale answer only picks the path
-        chunks = text.split(" ")
-        rewrites = rs._chunk_outputs(chunks)
-        missed = rewrites.count(None)
-        if missed <= len(chunks) * _CHUNK_MISS_SHARE:
-            if not missed:
-                return " ".join(rewrites)
-            missing = [chunk for chunk, rewrite in zip(chunks, rewrites) if rewrite is None]
-            rewritten, outputs, _ = _rewrite_words(" ".join(missing), rs, strict=False)
-            if not _NOT_ARABIC.search("".join(outputs)):
-                _memoize(missing, rewritten, rs)
-            elif strict:  # raises, with the line and column in the whole text
-                return _rewrite_words(text, rs, strict)[0]
-            found = iter(rewritten.split(" "))
-            return " ".join([next(found) if rewrite is None else rewrite for rewrite in rewrites])
+    lines = text.split("\n")
+    rewrites = rs._line_outputs(lines)
+    if rewrites is not None:
+        return "\n".join(rewrites)
     rewritten, outputs, misses = _rewrite_words(text, rs, strict)
     if misses <= len(outputs) * _WORD_MISS_SHARE and not _NOT_ARABIC.search("".join(outputs)):
-        _memoize(chunks or text.split(" "), rewritten, rs)
+        rs._keep_lines(
+            {
+                line: rewrite
+                for line, rewrite in zip(lines, rewritten.split("\n"))
+                if len(line) <= _LONGEST_LINE
+            }
+        )
     return rewritten
-
-
-def _memoize(chunks: list, rewritten: str, rs: RuleSet) -> None:
-    """Memoize each chunk of ``chunks`` up to the length cap with its rewrite
-    (the chunks joined by spaces, rewritten, is ``rewritten``)."""
-    rs._keep_chunks(
-        {
-            chunk: rewrite
-            for chunk, rewrite in zip(chunks, rewritten.split(" "))
-            if len(chunk) <= _LONGEST_CHUNK
-        }
-    )
 
 
 def _strict_error(pieces: list, outputs: list, rs: RuleSet) -> UnmatchedCharacter:

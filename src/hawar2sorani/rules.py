@@ -3,11 +3,11 @@
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
-and keeps the engine's second memo, of space-separated chunks of text with
-their words rewritten (``_chunk_outputs``, ``_keep_chunks``); both memos share
-one lock and one size limit. A batch of 512 words or more in which no word
-repeats or hits the word memo, such as a word list, is rewritten without
-filling it: such words would only push out words that do repeat.
+and keeps the engine's second memo, of lines of text with their words
+rewritten (``_line_outputs``, ``_keep_lines``); both memos share one lock and
+one size limit. A batch of 512 words or more in which no word repeats or
+hits the word memo, such as a word list, is rewritten without filling it:
+such words would only push out words that do repeat.
 The words of a batch that miss are case-folded (``fold_word``) and joined with
 a separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.replace``
@@ -159,7 +159,7 @@ _SEPARATOR = "\u2126"
 # skip case folding too; real text repeats words heavily. The limit is checked
 # once per batch: one whose misses would overflow it clears the memo. A long
 # batch in which no word repeats or hits the memo (a word list) fills nothing
-# (see _UNIQUE_BATCH). The chunk memo has the same limit and the same clear.
+# (see _UNIQUE_BATCH). The line memo has the same limit and the same clear.
 _CACHE_LIMIT = 1 << 17
 # A batch of at least this many words, none repeated and none in the memo, is
 # rewritten without filling the memo. Prose never has such a batch: in the
@@ -236,10 +236,10 @@ class RuleSet(_Value):
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
     Immutable but for two private memos behind one lock: words to their
-    outputs (``_outputs``), and chunks of text between spaces to the chunk
-    with its words rewritten (``_chunk_outputs``, ``_keep_chunks``); safe to
-    share across threads. Construction validates the table as a whole and
-    compiles it (see ``_compile`` for the precedence policy).
+    outputs (``_outputs``), and lines of text to the line with its words
+    rewritten (``_line_outputs``, ``_keep_lines``); safe to share across
+    threads. Construction validates the table as a whole and compiles it
+    (see ``_compile`` for the precedence policy).
     """
 
     __match_args__ = ("rules", "exceptions", "latin_vowels", "version")
@@ -274,9 +274,9 @@ class RuleSet(_Value):
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
-        # The word memo of _outputs, the chunk memo and their one lock.
+        # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
-        set_attribute(self, "_chunk_cache", {})
+        set_attribute(self, "_line_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
     def _outputs(self, words: list) -> tuple:
@@ -309,19 +309,22 @@ class RuleSet(_Value):
             cache.update(zip(missing, self._rewrite(list(map(fold_word, missing)))))
             return list(map(cache.__getitem__, words)), len(missing)
 
-    def _chunk_outputs(self, chunks: list) -> list:
-        """The memoized rewrite of each chunk of text, None for a miss."""
+    def _line_outputs(self, lines: list):
+        """The memoized rewrite of each line of text, or None if one is missing."""
         with self._word_lock:
-            return list(map(self._chunk_cache.get, chunks))
+            try:
+                return list(map(self._line_cache.__getitem__, lines))
+            except KeyError:
+                return None
 
-    def _keep_chunks(self, rewrites: dict) -> None:
-        """Memoize chunks of text (keys) with their words rewritten (values).
+    def _keep_lines(self, rewrites: dict) -> None:
+        """Memoize lines of text (keys) with their words rewritten (values).
 
-        Only chunks whose every word matched a rule may enter, so a hit is
+        Only lines whose every word matched a rule may enter, so a hit is
         clean for strict mode too (the engine checks).
         """
         with self._word_lock:
-            cache = self._chunk_cache
+            cache = self._line_cache
             if len(cache) + len(rewrites) > _CACHE_LIMIT:
                 cache.clear()
                 if len(rewrites) > _CACHE_LIMIT:  # too many to keep

@@ -1,3 +1,4 @@
+import io
 import itertools
 import multiprocessing
 import pickle
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hawar2sorani import engine, rules, transliterate
+from hawar2sorani import cli, engine, rules, transliterate
 from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
 from hawar2sorani.engine import (
     RLM,
@@ -506,23 +507,36 @@ def test_threads_sharing_a_clearing_cache(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-# -------------------------------------------------------------- chunk memo
-# A text of engine._LONG_TEXT characters or more looks up its chunks between
-# spaces in the RuleSet's chunk memo first.
+# -------------------------------------------------------------- line memo
+# A text of engine._LONG_TEXT characters or more whose every line is in the
+# RuleSet's line memo is joined from it.
 
 _TINY_TABLE = "b\tany\tب\na\tany\tا\nn\tany\tن"
 
 
 def _long(block: str) -> str:
-    """``block`` repeated, joined by spaces, past the length threshold and
-    often enough that a fresh RuleSet's first call fills its chunk memo."""
+    """``block`` repeated on lines of its own, past the length threshold and
+    often enough that a fresh RuleSet's first call fills its line memo."""
     repeats = max(round(1 / engine._WORD_MISS_SHARE), engine._LONG_TEXT // len(block) + 1)
-    return " ".join([block] * repeats)
+    return "\n".join([block] * repeats)
 
 
 def _table_without_q():
     """The built-in table but for its q rule: a q in a word is unmatched."""
     return parse_rules(serialize_rules(default_rules()).replace("q\tany\tق\n", ""))
+
+
+def _word_path_texts(monkeypatch):
+    """The list of texts the engine sends through the word path from now."""
+    texts = []
+    rewrite_words = engine._rewrite_words
+
+    def recording_rewrite_words(text, rs, strict):
+        texts.append(text)
+        return rewrite_words(text, rs, strict)
+
+    monkeypatch.setattr(engine, "_rewrite_words", recording_rewrite_words)
+    return texts
 
 
 def _random_words(rng, count):
@@ -551,14 +565,19 @@ _block_texts = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(_block_texts, _block_texts)
 @example("Min qelem û tu", "baş")  # a q in the text that fills
-@example("Min û\r\ntu, 12", "qelem")  # a q in a chunk the memo misses
-def test_chunk_memo_matches_oracle(block, extra):
-    # One fresh table per example: the first call fills its chunk memo
-    # unless the text holds a q, the second hits it, and the last two miss it
-    # on the chunks of ``extra``. Each non-strict call comes before a strict
-    # one, so a chunk kept with a q would hide it from strict mode.
+@example("Min û\r\ntu, 12", "qelem")  # a q in a line the memo misses
+@example("min û tu " * 8, "baş")  # a line over the length cap
+def test_line_memo_matches_oracle(block, extra):
+    # One fresh table per example: the first call fills its line memo unless
+    # the text holds a q, the second hits it if it holds every line, and the
+    # last two miss it on the lines of ``extra`` the memo lacks. Each
+    # non-strict call comes before a strict one, so a line kept with a q
+    # would hide it from strict mode.
     table = _table_without_q()
     text = _long(block)
+    lines = set(text.split("\n"))
+    fitting = {line for line in lines if len(line) <= engine._LONGEST_LINE}
+    clean = "q" not in block.lower()
     plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
     calls = [
         (text, plain, False),
@@ -566,63 +585,76 @@ def test_chunk_memo_matches_oracle(block, extra):
         (text + "\n" + extra, plain, False),
         (text + "\n" + extra, marked, True),
     ]
-    for source, config, strict in calls:
-        expected = outcome(naive_transliterate_text, source, table, config, strict=strict)
-        assert outcome(transliterate_text, source, table, config, strict=strict) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        word_path = _word_path_texts(patch)
+        for number, (source, config, strict) in enumerate(calls):
+            expected = outcome(naive_transliterate_text, source, table, config, strict=strict)
+            assert outcome(transliterate_text, source, table, config, strict=strict) == expected
+            if number == 0:
+                assert set(table._line_cache) == (fitting if clean else set())
+            elif number == 1:
+                assert len(word_path) == (1 if clean and fitting == lines else 2)
 
 
-def test_long_text_strict_after_non_strict_run():
-    # A clean text fills the chunk memo. The second text misses it on one
-    # chunk, which holds an unmatched q: strict mode must place it in the
-    # whole text, not in the chunks that missed.
+def test_long_text_strict_after_non_strict_run(monkeypatch):
+    # A clean text fills the line memo. The second text misses it on one
+    # line, which holds an unmatched q: strict mode must place it in the
+    # whole text.
     tiny = parse_rules(_TINY_TABLE)
     block = "ban\nna ban\nna, ban ban"
     clean = _long(block)
     assert transliterate_text(clean, tiny) == naive_transliterate_text(clean, tiny, EngineConfig())
-    assert tiny._chunk_cache
-    text = " ".join([block] * 100 + ["ban\nna baq ban"] + [block] * 100)
+    text = "\n".join([block] * 100 + ["ban\nna baq ban"] + [block] * 100)
     assert len(text) >= engine._LONG_TEXT
+    assert [line for line in text.split("\n") if line not in tiny._line_cache] == ["na baq ban"]
     expected = outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict=True)
-    assert expected == ("q", 2, 202, 6)
+    assert expected == ("q", 2, 302, 6)
+    word_path = _word_path_texts(monkeypatch)
     assert outcome(transliterate_text, text, tiny, strict=True) == expected
     assert transliterate_text(text, tiny) == naive_transliterate_text(text, tiny, EngineConfig())
-    assert "baq" not in tiny._chunk_cache
+    assert "na baq ban" not in tiny._line_cache
     assert outcome(transliterate_text, text, tiny, strict=True) == expected
+    assert word_path == [text] * 3
 
 
-def test_chunk_over_the_length_cap_is_not_kept():
-    long_chunk = "\n".join(["min", "tu"] * 20)  # no space in 119 characters
+def test_line_over_the_length_cap_is_not_kept(monkeypatch):
+    long_line = " ".join(["min", "tu"] * 20)  # 119 characters
     table = default_rules()
-    text = _long(f"min û tu, {long_chunk} dê û bav.")
+    text = _long(f"min û tu,\n{long_line}\ndê û bav.")
     expected = naive_transliterate_text(text, table, EngineConfig())
-    for strict in (False, True):  # fills, then hits all but the long chunk
+    word_path = _word_path_texts(monkeypatch)
+    for strict in (False, True):  # fills, then misses on the long line
         assert transliterate_text(text, table, strict=strict) == expected
-    assert "tu," in table._chunk_cache
-    assert long_chunk not in table._chunk_cache
-    assert max(map(len, table._chunk_cache)) <= engine._LONGEST_CHUNK
+    assert set(table._line_cache) == {"min û tu,", "dê û bav."}
+    assert word_path == [text] * 2
 
 
-def test_chunk_memo_clears_mid_run(monkeypatch):
+def test_line_memo_clears_mid_run(monkeypatch):
     monkeypatch.setattr(rules, "_CACHE_LIMIT", 16)
     tiny = parse_rules(_TINY_TABLE)
-    first = " ".join(["ban", "nab,", "ab."] * 400)
-    # 14 chunks the memo misses: with the 3 it holds, one over the limit.
-    second = first + " " + " ".join(f"b{'a' * length}n" for length in range(2, 16))
+    old = ["ban", "nab,", "ab."]
+    new = [f"b{'a' * length}n" for length in range(2, 16)]
+    first = "\n".join(old * 400)
+    second = "\n".join(new * 100)  # 14 lines: with the 3 kept, one over the limit
+    both = "\n".join((old + new) * 100)  # 17 lines: more than the memo may hold
     configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
+    word_path = _word_path_texts(monkeypatch)
     sizes = []
-    for text in (first, second, first):
+    for text in (first, second, both, first):
         for config in configs:
             for strict in (False, True):
                 expected = naive_transliterate_text(text, tiny, config)
                 assert transliterate_text(text, tiny, config, strict=strict) == expected
-                sizes.append(len(tiny._chunk_cache))
-    # The 14 missed chunks clear the memo and are kept alone; then the second
-    # text misses on most chunks, and its 17 are more than the memo may hold.
-    assert sizes == [3] * 4 + [14, 0, 0, 0] + [3] * 4
+                sizes.append(len(tiny._line_cache))
+    # The second text clears the memo and keeps its 14 lines, which its later
+    # calls hit; the third clears it at every call and keeps none; the first
+    # fills it again.
+    assert sizes == [3] * 4 + [14] * 4 + [0] * 4 + [3] * 4
+    assert word_path == [first, second] + [both] * 4 + [first]
 
 
-def test_chunk_memo_stays_empty_where_it_cannot_help():
-    # Chunks kept that are not seen again cost peak RSS, which the benchmark
+def test_line_memo_stays_empty_where_it_cannot_help():
+    # Lines kept that are not seen again cost peak RSS, which the benchmark
     # bounds at +10% on every workload (BENCHMARK.json): the shapes of
     # api-short and unique-words, and unmatched letters, fill nothing.
     rng = random.Random(13)
@@ -631,38 +663,54 @@ def test_chunk_memo_stays_empty_where_it_cannot_help():
     for _ in range(5000):  # api-short: one call per short sentence
         words = rng.choices(vocabulary, k=rng.randint(2, 9))
         transliterate_text(" ".join(words) + rng.choice(".?, "), table)
-    assert table._chunk_cache == {}
+    assert table._line_cache == {}
     distinct = _random_words(random.Random(14), 4000)  # unique-words
     transliterate_text("\n".join(" ".join(distinct[i : i + 10]) for i in range(0, 4000, 10)), table)
-    assert table._chunk_cache == {}
+    assert table._line_cache == {}
     without_q = _table_without_q()
     text = _long("min qelem û tu")
     expected = naive_transliterate_text(text, without_q, EngineConfig())
     assert transliterate_text(text, without_q) == expected
-    assert without_q._chunk_cache == {}
+    assert without_q._line_cache == {}
+    # With its q rule, the same text fills the memo.
+    assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
+    assert list(table._line_cache) == ["min qelem û tu"]
 
 
-def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
+class _CountedClears(dict):
+    """A dict that counts the calls of its ``clear``."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_threads_sharing_a_clearing_line_memo(monkeypatch):
     # As test_threads_sharing_a_clearing_cache, on long texts: threads fill,
-    # read and clear the chunk memo too. Every other text is the one before
-    # it with one chunk holding an unmatched q, which misses the memo.
+    # hit and clear the line memo too. Every other text is the one before it
+    # with one line holding an unmatched q, which misses the memo.
     monkeypatch.setattr(rules, "_CACHE_LIMIT", 12)
     tiny = parse_rules(_TINY_TABLE)
+    object.__setattr__(tiny, "_line_cache", _CountedClears())
     rng = random.Random(11)
     vocabulary = [
-        "".join(rng.choices("ban", k=3)) + rng.choice(["", ",", "\n"]) for _ in range(30)
+        " ".join("".join(rng.choices("ban", k=3)) for _ in range(2)) + rng.choice(["", ",", "."])
+        for _ in range(30)
     ]
     texts = []
     for _ in range(4):
-        chunks = rng.choices(rng.sample(vocabulary, 6), k=1200)
-        texts.append(" ".join(chunks))
-        chunks[rng.randrange(1200)] = "baq"
-        texts.append(" ".join(chunks))
+        lines = rng.choices(rng.sample(vocabulary, 6), k=1200)
+        texts.append("\n".join(lines))
+        lines[rng.randrange(1200)] = "baq"
+        texts.append("\n".join(lines))
     jobs = [(text, strict) for text in texts for strict in (False, True)]
     expected = [
         outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict)
         for text, strict in jobs
     ]
+    word_path = _word_path_texts(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -675,6 +723,47 @@ def test_threads_sharing_a_clearing_chunk_memo(monkeypatch):
             assert list(results) == expected * 15
     finally:
         sys.setswitchinterval(interval)
+    assert tiny._line_cache.clears > 0
+    assert len(word_path) < len(jobs) * 15  # the others hit
+
+
+def test_later_batches_are_joined_from_the_line_memo(monkeypatch):
+    # The CLI cuts its batches at line ends, so once the first has filled the
+    # line memo no later batch of the same lines takes the word path, even
+    # where a batch starts or ends inside the block.
+    block = (
+        "Gelî kurdan, rojbaş! Ez diînine dibêjim; min û tu diçin.\n"
+        "Se'îd li Kurdistanê dijî, 1984 sal in, ne wisa?\n"
+        "Çiya bilind in û şerr xirab e; ḧal çawa ye?\n"
+        "Birrîn, gull, sall, dill: ev peyvên ll û rr in.\n"
+    )
+    text = block * 360
+    data = text.encode("utf-8")
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 1 << 14)
+    source = io.BytesIO(data)
+    batches = [
+        b"".join(lines).decode("utf-8")
+        for lines in iter(lambda: source.readlines(cli._BATCH_BYTES), [])
+    ]
+    # Five batches, starting on each line of the block in turn, every one long
+    # enough for the memo.
+    starts = [batch.partition(" ")[0] for batch in batches]
+    assert starts == ["Gelî", "Se'îd", "Çiya", "Birrîn,", "Gelî"]
+    assert min(map(len, batches)) >= engine._LONG_TEXT
+    runs = [
+        (EngineConfig(), False),
+        (EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True), True),
+    ]
+    expected = [
+        transliterate_text(text, default_rules(), config, strict=strict) for config, strict in runs
+    ]
+    word_path = _word_path_texts(monkeypatch)
+    for (config, strict), whole in zip(runs, expected):
+        word_path.clear()
+        sink = io.BytesIO()
+        cli._stream(io.BytesIO(data), sink, default_rules(), config, strict)
+        assert sink.getvalue() == whole.encode("utf-8")
+        assert word_path == batches[:1]
 
 
 # ------------------------------------------------------------- word lists
@@ -697,7 +786,7 @@ def _word_list(words: list) -> str:
 def test_long_batch_of_distinct_words_fills_no_memo(count):
     words = _random_words(random.Random(count), count)
     text = _word_list(words)
-    # The shorter text takes the word path alone, the longer the chunk path.
+    # The shorter text takes the word path alone, the longer the line memo's path.
     assert (len(text) >= engine._LONG_TEXT) == (count == 3000)
     table = default_rules()
     configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
@@ -706,7 +795,7 @@ def test_long_batch_of_distinct_words_fills_no_memo(count):
             expected = naive_transliterate_text(text, table, config)
             assert transliterate_text(text, table, config, strict=strict) == expected
             assert table._word_cache == {}
-            assert table._chunk_cache == {}
+            assert table._line_cache == {}
 
 
 def test_long_batch_of_distinct_words_strict_error_position():
@@ -808,7 +897,7 @@ _marked_blocks = st.lists(
 def test_both_normalization_paths_match_oracle(block, long):
     # Long texts repeat the block on lines of their own, so a mark at either
     # end of it lands at a line start or end. One fresh table per example; the
-    # plain call may fill its chunk memo before the strict one.
+    # plain call may fill its line memo before the strict one.
     table = _table_without_q()
     text = "\n".join([block] * (engine._LONG_TEXT // len(block) + 1)) if long else block
     assert (len(text) >= engine._LONG_TEXT) == long
