@@ -1,8 +1,8 @@
 """Command-line front end and the gold-pair corpus check harness.
 
 ``translit [options] [IN]`` transliterates a UTF-8 file (or stdin) to a
-UTF-8 file (or stdout), streaming line by line so memory stays bounded by
-line length rather than file size. ``translit check [CORPUS]`` runs the
+UTF-8 file (or stdout) in batches of whole lines, so memory stays bounded
+by line length rather than file size. ``translit check [CORPUS]`` runs the
 regression harness over tab-separated (latin, expected) pairs and exits
 nonzero when any pair disagrees.
 

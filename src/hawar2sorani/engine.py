@@ -10,8 +10,8 @@ configured punctuation and digit mapping or passes through. The engine also
 places strict-mode errors, marks line-final full stops and returns NFC. No
 rule context crosses a word boundary and words never cross lines, so
 line-by-line processing gives byte-identical output to whole-text
-processing. A long text holding decomposed Kurdish letters is normalized
-line by line, with the same result.
+processing. A long text is normalized line by line, and only where the line
+memo misses, with the same result as whole-text NFC.
 """
 
 import re
@@ -126,8 +126,6 @@ _STOP_WITH_RLM = "." + RLM
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
-# The combining marks in the NFD forms of the Kurdish letters: ê î û, ḧ ẍ, ç ş.
-_NFD_MARKS = _CIRCUMFLEX, _DIAERESIS, _CEDILLA = "\u0302", "\u0308", "\u0327"
 # Shorter texts take the word path alone: filling the memo from api-short's
 # one-sentence calls cost 3.2 MB (+17%) of peak RSS.
 _LONG_TEXT = 4096
@@ -137,8 +135,8 @@ _LONG_TEXT = 4096
 # of peak RSS (seed 101).
 _WORD_MISS_SHARE = 1 / 64
 # Longer lines are never kept, which bounds each entry. On seed 101 the longest
-# line that repeats has 56 characters on repeat-block and 25 on strict-lines,
-# and unique-words repeats no line.
+# line that repeats as given has 56 characters on repeat-block and 24 on
+# strict-lines, and unique-words repeats no line.
 _LONGEST_LINE = 64
 
 
@@ -146,16 +144,8 @@ def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
-    # normalize returns NFC text as it is, after its own quick check, but one
-    # NFD letter makes it rewrite the whole text; line by line, only the lines
-    # holding one are rewritten. "\n" is a starter that composes with nothing,
-    # so NFC never composes or reorders across it and both give the same text.
-    if len(text) >= _LONG_TEXT and (_CIRCUMFLEX in text or _DIAERESIS in text or _CEDILLA in text):
-        text = "\n".join([unicodedata.normalize("NFC", line) for line in text.split("\n")])
-    else:
-        text = unicodedata.normalize("NFC", text)
     if len(text) < _LONG_TEXT:
-        out = _rewrite_words(text, rs, strict)[0]
+        out = _rewrite_words(unicodedata.normalize("NFC", text), rs, strict)[0]
     else:
         out = _rewrite_long(text, rs, strict)
     # Word output is Arabic letters or passed-through word characters, never
@@ -180,19 +170,22 @@ def _rewrite_words(text: str, rs: RuleSet, strict: bool) -> tuple:
 
 def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
     """``text`` with each word replaced by its output: joined from the line
-    memo when it holds every line, else through the word path, which may
-    fill it.
+    memo when it holds every line as given (its keys), else normalized line
+    by line and sent through the word path, which may fill the memo.
 
-    Words and their outputs never hold a newline (rules write only Arabic
-    letters, and a character passed through is a word character), so a
-    rewritten text splits on newlines into the rewrites of its lines, one for
-    one. The memo keeps only the lines of a text whose every word matched a
-    rule, so a hit hides nothing from strict mode.
+    A newline is a starter that composes with nothing, so the NFC lines join
+    to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
+    only its own line. Words and their outputs never hold a newline (rules
+    write only Arabic letters, and a character passed through is a word
+    character), so a rewritten text splits on newlines into the rewrites of
+    its lines, one for one. The memo keeps only the lines of a text whose
+    every word matched a rule, so a hit hides nothing from strict mode.
     """
     lines = text.split("\n")
     rewrites = rs._line_outputs(lines)
     if rewrites is not None:
         return "\n".join(rewrites)
+    text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
     rewritten, outputs, misses = _rewrite_words(text, rs, strict)
     if misses <= len(outputs) * _WORD_MISS_SHARE and not _NOT_ARABIC.search("".join(outputs)):
         rs._keep_lines(

@@ -3,11 +3,11 @@
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
-and keeps the engine's second memo, of lines of text with their words
-rewritten (``_line_outputs``, ``_keep_lines``); both memos share one lock and
-one size limit. A batch of 512 words or more in which no word repeats or
-hits the word memo, such as a word list, is rewritten without filling it:
-such words would only push out words that do repeat.
+and keeps the engine's second memo, of lines as given to their NFC form
+with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
+share one lock and one size limit. A batch of 512 words or more in which no
+word repeats or hits the word memo, such as a word list, is rewritten
+without filling it: such words would only push out words that do repeat.
 The words of a batch that miss are case-folded (``fold_word``) and joined with
 a separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.replace``
@@ -236,10 +236,10 @@ class RuleSet(_Value):
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
     Immutable but for two private memos behind one lock: words to their
-    outputs (``_outputs``), and lines of text to the line with its words
-    rewritten (``_line_outputs``, ``_keep_lines``); safe to share across
-    threads. Construction validates the table as a whole and compiles it
-    (see ``_compile`` for the precedence policy).
+    outputs (``_outputs``), and lines as given to their NFC form with the
+    words rewritten (``_line_outputs``, ``_keep_lines``); safe to share
+    across threads. Construction validates the table as a whole and
+    compiles it (see ``_compile`` for the precedence policy).
     """
 
     __match_args__ = ("rules", "exceptions", "latin_vowels", "version")
@@ -318,7 +318,7 @@ class RuleSet(_Value):
                 return None
 
     def _keep_lines(self, rewrites: dict) -> None:
-        """Memoize lines of text (keys) with their words rewritten (values).
+        """Memoize lines as given (keys) with the words of their NFC forms rewritten (values).
 
         Only lines whose every word matched a rule may enter, so a hit is
         clean for strict mode too (the engine checks).

@@ -840,8 +840,9 @@ def test_short_batches_of_distinct_words_fill_the_memo():
 
 
 # ----------------------------------------------------------- normalization
-# A text of engine._LONG_TEXT characters or more holding a combining mark of a
-# decomposed Kurdish letter is normalized line by line, any other text whole.
+# A shorter text is normalized whole. A text of engine._LONG_TEXT characters or
+# more is normalized line by line, and only when the line memo, keyed on the
+# lines as given, misses one of them.
 
 _KURDISH_MARKS = ("\u0302", "\u0308", "\u0327")
 
@@ -856,26 +857,6 @@ def _normalized(monkeypatch):
 
     monkeypatch.setattr(engine, "unicodedata", types.SimpleNamespace(normalize=recording_normalize))
     return texts
-
-
-def test_gate_marks_are_those_of_the_kurdish_letters(monkeypatch, rs):
-    marks = {
-        c
-        for letter in KURDISH_LATIN_LETTERS
-        for c in unicodedata.normalize("NFD", letter)
-        if unicodedata.combining(c)
-    }
-    assert set(engine._NFD_MARKS) == marks == set(_KURDISH_MARKS)
-    for mark in sorted(marks):
-        text = "\n".join(["min û tu", "dê" + mark + " bav"] * 300)
-        normalized = _normalized(monkeypatch)
-        assert transliterate_text(text, rs) == naive_transliterate_text(text, rs, EngineConfig())
-        # One call per line, then the output's.
-        assert len(normalized) == text.count("\n") + 2, repr(mark)
-        short = "min û tu\ndê" + mark + " bav"
-        normalized = _normalized(monkeypatch)
-        assert transliterate_text(short, rs) == naive_transliterate_text(short, rs, EngineConfig())
-        assert normalized[0] == short and len(normalized) == 2, repr(mark)
 
 
 _word_forms = st.tuples(
@@ -907,23 +888,53 @@ def test_both_normalization_paths_match_oracle(block, long):
         assert outcome(transliterate_text, text, table, config, strict=strict) == expected
 
 
-def test_long_text_mark_starting_a_line_stays_uncomposed(monkeypatch, rs):
+def test_long_text_mark_starting_a_line_stays_uncomposed(monkeypatch):
+    table = default_rules()  # its line memo is empty
     text = "\n".join(["min û tu", "e", "\u0302 bav"] * 300)
     assert len(text) >= engine._LONG_TEXT
     normalized = _normalized(monkeypatch)
-    out = transliterate_text(text, rs)
+    out = transliterate_text(text, table)
     assert len(normalized) == text.count("\n") + 2  # line by line
-    assert out == naive_transliterate_text(text, rs, EngineConfig())
+    assert out == naive_transliterate_text(text, table, EngineConfig())
     assert out.startswith("من و تو\nئە\n\u0302 باڤ\n")
 
 
-def test_long_text_with_only_another_mark_is_normalized_whole(monkeypatch, rs):
-    text = "\n".join(["min û tu", "dê\u0301 bav"] * 300)
-    assert len(text) >= engine._LONG_TEXT
+@pytest.mark.parametrize("form", ["NFC", "NFD"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_long_text_the_line_memo_holds_is_not_normalized(monkeypatch, form, strict):
+    table = default_rules()
+    text = _long(unicodedata.normalize(form, "Çiya û şêr,\nḧal çawa ye?\ndê û bav."))
+    config = EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
+    expected = naive_transliterate_text(text, table, config)
+    assert transliterate_text(text, table, config, strict=strict) == expected
+    assert set(table._line_cache) == set(text.split("\n"))
     normalized = _normalized(monkeypatch)
-    out = transliterate_text(text, rs)
-    assert normalized[0] == text and len(normalized) == 2
-    assert out == naive_transliterate_text(text, rs, EngineConfig())
+    assert transliterate_text(text, table, config, strict=strict) == expected
+    assert len(normalized) == 1  # the output's
+
+
+def test_line_memo_keys_are_the_lines_as_given(monkeypatch):
+    # A text filled in one form misses in the other, which fills its own
+    # lines; every later call of either form hits. A line with no Kurdish
+    # letter is the same in both forms.
+    block = "Çiya û şêr,\nḧal çawa ye?\nmin tu\ndê û bav."
+    texts = {form: unicodedata.normalize(form, _long(block)) for form in ("NFC", "NFD")}
+    lines = {form: set(text.split("\n")) for form, text in texts.items()}
+    assert lines["NFC"] & lines["NFD"] == {"min tu"}
+    plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
+    word_path = _word_path_texts(monkeypatch)
+    for first, second in (("NFC", "NFD"), ("NFD", "NFC")):
+        table = default_rules()
+        word_path.clear()
+        kept = set()
+        for form in (first, second, first):
+            kept |= lines[form]
+            for config, strict in ((plain, False), (marked, True)):
+                expected = outcome(naive_transliterate_text, texts[form], table, config, strict=strict)
+                assert outcome(transliterate_text, texts[form], table, config, strict=strict) == expected
+                assert set(table._line_cache) == kept
+        # The first call of each form, in NFC.
+        assert word_path == [texts["NFC"]] * 2
 
 
 def test_long_dirty_text_strict_error_column(monkeypatch):
