@@ -8,15 +8,16 @@ with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
 share one lock and one size limit. A batch of 512 words or more in which no
 word repeats or hits the word memo, such as a word list, is rewritten
 without filling it: such words would only push out words that do repeat.
-The words of a batch that miss are case-folded in one pass (``fold_word``
-over the batch joined with newlines, which no word the engine cuts holds and
-across which neither NFC nor ``str.lower`` looks) and joined with a
-separator no folded word holds; then one regular expression replaces every
-match of a longer or context rule, left to right, and one ``str.replace``
-per single-letter ``any`` rule maps each letter left over. Splitting on the
-separator gives each word's output. The compile step (``_compile``) is the
-one place that states which rule wins, why the two steps agree with it, and
-why the separator keeps the words apart.
+The words of a batch that miss travel as one string: folded in one pass
+(``fold_word`` over the words joined with newlines, which no word the engine
+cuts holds), the newlines swapped for a separator no folded word holds, then
+one regular expression replaces every match of a longer or context rule, left
+to right, and one ``str.replace`` per single-letter ``any`` rule maps each
+letter left over. Splitting on the separator gives each word's output. The
+compile step (``_compile``) is the one place that states which rule wins, why
+the two steps agree with it, and why the separator keeps the words apart.
+
+
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -79,11 +80,11 @@ class OutputTooLong(RuleError):
 
 
 def _check_chars(text: str, allowed: frozenset, side: str, entry=None) -> None:
-    for ch in text:
-        if ch not in allowed:
-            raise IllegalCharacter(
-                f"{ch!r} (U+{ord(ch):04X}) not allowed in {side}", entry=entry, char=ch, side=side
-            )
+    if not allowed.issuperset(text):
+        ch = next(ch for ch in text if ch not in allowed)
+        raise IllegalCharacter(
+            f"{ch!r} (U+{ord(ch):04X}) not allowed in {side}", entry=entry, char=ch, side=side
+        )
 
 
 class _Value:
@@ -127,6 +128,8 @@ class Context(Enum):
     AFTER_VOWEL = "after_vowel"
     WORD_FINAL = "final"
 
+    __hash__ = object.__hash__  # a member is equal only to itself: hashed in C
+
 
 class Rule(_Value):
     """One Latin-pattern to Arabic-output mapping."""
@@ -142,7 +145,10 @@ class Rule(_Value):
         if len(output) > 3:
             raise OutputTooLong(f"output {output!r} is longer than three characters")
         _check_chars(output, ARABIC_LETTERS, "output")
-        self._set_fields(pattern, context, output)
+        set_attribute = object.__setattr__  # _set_fields' loop, unrolled: tables build many
+        set_attribute(self, "pattern", pattern)
+        set_attribute(self, "context", context)
+        set_attribute(self, "output", output)
 
 
 def fold_word(word: str) -> str:
@@ -153,9 +159,9 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-# Joins the folded words of a batch. NFC maps U+2126 OHM SIGN to U+03A9, so no
-# word folded by fold_word (its last step is NFC) holds it.
-_SEPARATOR = "\u2126"
+# Joins the folded words of a batch: lower() maps U+00DE to U+00FE, and no character lowers or
+# composes to it. A regex class compiles 0.1 ms faster without a character past U+00FF.
+_SEPARATOR = "\u00de"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
@@ -187,20 +193,29 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     the start and the end of the string, even if the word holds a newline.
 
     Step 1 is one regex alternation over every rule but the single-letter
-    ``any`` ones, sorted by that key, so ``re`` takes the first alternative
-    that matches. Each alternative is the rule's pattern, then its context as
-    a lookbehind or lookahead over the pattern, then an empty group, so
-    ``match.lastindex`` names the winner. As every alternative starts with a
-    literal, ``re`` skips in C the positions where no rule can start. Step 2 is
-    one ``str.replace`` per single-letter ``any`` rule; a ``str.translate``
-    table would raise and clear a ``KeyError`` for each Arabic letter step 1
-    wrote. The two steps give what one alternation over all rules would: a
-    single-letter ``any`` rule sorts after every other rule for its letter, so
-    it wins exactly where no alternative of step 1 matches, and there step 1
-    moves on by one character, as the rule consumes one. Step 1 writes only
-    Arabic letters, which step 2 leaves alone, and its lookarounds see the
-    Latin words. The order of step 2's replacements does not matter: each
-    replaces one Latin letter, and none writes anything but Arabic letters.
+    ``any`` ones, grouped by first letter (no two first letters match at one
+    position) and ranked by precedence, so ``re`` takes the first alternative
+    that matches. Each is the rule's pattern, a lookaround for its context and
+    an empty group, so ``match.lastindex`` names the winner. ``re`` skips in C
+    where no group's letter stands. A group of two or more ``initial`` or
+    ``after_vowel`` rules has a guard, a lookbehind rejecting the letter after
+    anything but the separator or a vowel: a vowel after a consonant fails one
+    check, not two. Past it, a rule with the pattern of an earlier rule needs
+    no check: it is reached only where that rule, of the other context, fails.
+
+
+    Step 2 is one ``str.replace`` per single-letter ``any`` rule (a
+    ``str.translate`` table would raise and clear a ``KeyError`` for each
+    Arabic letter step 1 wrote). The two steps give what one alternation over
+    all rules would: a single-letter ``any`` rule sorts after every other rule
+    for its letter, so it wins exactly where no alternative of step 1 matches,
+    and there step 1 moves on by one character, as the rule consumes one. Step
+    1 writes only Arabic letters, which step 2 leaves alone, and its
+    lookarounds see the Latin words. The order of step 2's replacements does
+    not matter: each replaces one Latin letter with Arabic ones.
+
+
+
 
     Step 2 leaves a character with no rule as it is, so every character no
     rule matched reaches the output unchanged; strict mode relies on that (see
@@ -210,27 +225,35 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     Returns (step 1 regex, output of each group by index, step 2's
     ``{letter: output}``).
     """
-    vowel_class = re.escape("".join(sorted(vowels)))
-    alternatives = {
-        Context.ANY: "{0}",
-        Context.WORD_INITIAL: f"{{0}}(?<![^{_SEPARATOR}]{{0}})",
-        Context.AFTER_VOWEL: f"{{0}}(?<=[{vowel_class}]{{0}})" if vowels else "{0}(?!)",
-        Context.WORD_FINAL: f"{{0}}(?![^{_SEPARATOR}])",
+    vowel_class = "".join(sorted(vowels))  # no rule letter is special to re
+    anywhere = Context.ANY  # a local: each read of a member off the Enum class costs 0.1 us
+    checks = {
+        anywhere: "",
+        Context.WORD_INITIAL: f"(?<![^{_SEPARATOR}]{{0}})",
+        Context.AFTER_VOWEL: f"(?<=[{vowel_class}]{{0}})" if vowels else "(?!)",
+        Context.WORD_FINAL: f"(?![^{_SEPARATOR}])",
     }
-    letters, keyed = {}, []
+    letters, groups = {}, {}
     for order, rule in enumerate(rules):
-        if len(rule.pattern) == 1 and rule.context is Context.ANY:
+        if len(rule.pattern) == 1 and rule.context is anywhere:
             letters[rule.pattern] = rule.output
         else:
-            keyed.append((-len(rule.pattern), rule.context is Context.ANY, order, rule))
-    ranked = [rule for *_, rule in sorted(keyed)]  # order is unique: no Rule is compared
-    regex = re.compile(
-        "|".join(
-            alternatives[rule.context].format(re.escape(rule.pattern)) + "()" for rule in ranked
-        )
-        or "(?!)"
-    )
-    outputs = (None,) + tuple(rule.output for rule in ranked)
+            key = (-len(rule.pattern), rule.context is anywhere, order, rule)
+            groups.setdefault(rule.pattern[0], []).append(key)
+    branches, guardable = [], (Context.WORD_INITIAL, Context.AFTER_VOWEL)
+    for first, keyed in groups.items():
+        group = groups[first] = [rule for *_, rule in sorted(keyed)]  # no two orders tie
+        guarded = len(group) > 1 and all(rule.context in guardable for rule in group)
+        seen, alternatives = set(), []
+        for rule in group:
+            check = "" if guarded and rule.pattern in seen else checks[rule.context]
+            alternatives.append(rule.pattern[1:] + check.format(rule.pattern) + "()")
+            seen.add(rule.pattern)
+        guard = f"(?<![^{_SEPARATOR}{vowel_class}]{first})" if guarded else ""
+        body = "|".join(alternatives)
+        branches.append(f"{first}{guard}(?:{body})" if len(group) > 1 else first + body)
+    regex = re.compile("|".join(branches) or "(?!)")
+    outputs = (None,) + tuple(rule.output for group in groups.values() for rule in group)
     return regex, outputs, letters
 
 
@@ -260,11 +283,10 @@ class RuleSet(_Value):
             raise MalformedLine(f"version {version!r} would not parse back from a rule file")
         seen = set()
         for index, rule in enumerate(rules):
-            if (rule.pattern, rule.context) in seen:
-                raise DuplicateRule(
-                    f"second rule for ({rule.pattern!r}, {rule.context.value})", entry=index
-                )
-            seen.add((rule.pattern, rule.context))
+            key = (rule.pattern, rule.context)
+            if key in seen:
+                raise DuplicateRule(f"second rule for ({key[0]!r}, {key[1].value})", entry=index)
+            seen.add(key)
         for word, output in exceptions.items():
             if not word:
                 raise MalformedLine("empty exception word", entry=word)
@@ -276,6 +298,7 @@ class RuleSet(_Value):
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
+        set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
         # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_line_cache", {})
@@ -334,31 +357,36 @@ class RuleSet(_Value):
             cache.update(rewrites)
 
     def _rewrite(self, words: list) -> list:
-        """The output of each raw word of a batch.
+        """The output of each raw word of a batch, which travels as one string.
 
-        One fold pass, one regex pass, one ``str.replace`` per single-letter
-        ``any`` rule, one split; the exception lexicon is looked up only for a
-        batch holding one of its words.
-
-        The fold is one ``fold_word`` call over the words joined with
-        newlines, split again on them. No word the engine cuts holds a
-        newline. NFC never composes or reorders across one, as it is a starter
-        that composes with nothing, and ``str.lower`` sees it as neither cased
-        nor case-ignorable, so it also bounds the one context ``lower`` looks
-        at (final sigma): each piece is the fold of its word alone. A word that
-        does hold a newline (a library caller's) gives more pieces than words,
-        and then each word is folded alone.
+        One ``fold_word`` pass over the words joined with newlines, one swap of
+        the newlines for the separator, one regex pass, one ``str.replace`` per
+        single-letter ``any`` rule, one split. No word the engine cuts holds a
+        newline; NFC never composes or reorders across one, and ``str.lower``
+        sees it as neither cased nor case-ignorable, so it also bounds final
+        sigma: each line folds alone. A batch with a word that holds one (a
+        library caller's) is folded word by word. An exception word is its own
+        fold, and a rule output depends only on the fold, so only a batch with
+        an output in ``_exception_outputs`` (theirs) can hold one.
         """
-        folded = fold_word("\n".join(words)).split("\n")
-        if len(folded) != len(words):
-            folded = list(map(fold_word, words))
-        rewritten = self._regex.sub(self._group_output, _SEPARATOR.join(folded))
+        if not words:
+            return []
+        folded = fold_word("\n".join(words))
+        if folded.count("\n") == len(words) - 1:
+            folded = folded.replace("\n", _SEPARATOR)
+        else:
+            folded = _SEPARATOR.join(map(fold_word, words))
+        outputs = self._apply(folded).split(_SEPARATOR)
+        if self._exception_outputs.isdisjoint(outputs):
+            return outputs
+        return list(map(self.exceptions.get, folded.split(_SEPARATOR), outputs))
+
+    def _apply(self, folded: str) -> str:
+        """Steps 1 and 2 of ``_compile`` over folded text."""
+        rewritten = self._regex.sub(self._group_output, folded)
         for letter, output in self._letters.items():
             rewritten = rewritten.replace(letter, output)
-        outputs = rewritten.split(_SEPARATOR)
-        if self.exceptions.keys().isdisjoint(folded):
-            return outputs
-        return list(map(self.exceptions.get, folded, outputs))
+        return rewritten
 
     def _first_unmatched(self, word: str):
         """(index, char) of the first character of ``fold_word(word)`` no rule matches, or None.
@@ -429,7 +457,7 @@ def parse_rules(text: str) -> RuleSet:
             raise MalformedLine(
                 f"expected pattern<TAB>context<TAB>output, got {stripped!r}", line=lineno
             )
-        pattern, context_token, output = (f.strip() for f in fields)
+        pattern, context_token, output = map(str.strip, fields)
         if not output:
             raise MalformedLine(
                 f"empty output field; write {EMPTY_OUTPUT_MARK} explicitly", line=lineno

@@ -181,13 +181,14 @@ def test_word_strict_cache_interaction():
 
 
 def test_word_separator_like_characters_match_oracle(rs):
-    # The engine rewrites a batch of words joined by U+2126; a newline, that
-    # sign or U+03A9 (its NFC form) inside a word must not act as a boundary.
+    # The engine rewrites a batch of words joined by U+00DE; a newline, that
+    # letter or U+00FE (its lowercase) inside a word must not act as a
+    # boundary, nor U+2126 or U+03A9 (its NFC form).
     table = parse_rules(
         "a\tinitial\tئا\na\tafter_vowel\tع\na\tany\tا\nn\tfinal\tین\nn\tany\tن\n"
         "na\tfinal\tنە\n"
     )
-    alphabet = ["a", "n", "\n", "\u2126", "\u03a9"]
+    alphabet = ["a", "n", "\n", "\u00de", "\u00fe", "\u2126", "\u03a9"]
     for ruleset in (rs, table):
         for length in range(1, 4):
             for chars in itertools.product(alphabet, repeat=length):

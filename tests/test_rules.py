@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hawar2sorani import rules
 from hawar2sorani.alphabets import HAWAR_VOWELS, LATIN_RULE_CHARS
 from hawar2sorani.rules import (
     Context,
@@ -26,7 +27,7 @@ from hawar2sorani.engine import (
     transliterate_text,
     transliterate_word,
 )
-from helpers import naive_parse, naive_transliterate_text, outcome
+from helpers import naive_fold, naive_parse, naive_transliterate_text, outcome
 
 
 # ---------------------------------------------------------------- parsing
@@ -609,3 +610,68 @@ def test_partial_tables_match_naive_scan_exhaustive(name):
 def test_empty_vowel_set_never_fires_after_vowel():
     table = RuleSet(_WORD_FINAL_SET.rules, latin_vowels=frozenset())
     assert _parse("aa", table) == naive_parse("aa", table) == ("اا", -1)
+
+
+# ------------------------------------------------ batches as one string
+# RuleSet._rewrite folds a batch of words as one string, finds exception
+# words from the rule outputs, and runs step 1 grouped by first letter.
+
+_COLLIDING = "b\tany\tب\np\tany\tب\nbb\tword\tق\n"
+
+
+def test_rewrite_of_no_words_is_no_outputs(rs):
+    assert rs._rewrite([]) == []
+    assert RuleSet(())._rewrite([]) == []
+
+
+def test_exception_among_words_with_its_rule_output():
+    # pp and bb have one rule output, so an output of the exception word's
+    # does not make a word the exception: the lookup goes by folded word.
+    table = parse_rules(_COLLIDING)
+    assert table._rewrite(["pp"]) == ["بب"]
+    assert transliterate_text("pp bb Pp", table) == "بب ق بب"
+    assert transliterate_text("BB pP", parse_rules(_COLLIDING)) == "ق بب"
+
+
+@pytest.mark.parametrize("unique_batch", [rules._UNIQUE_BATCH, 2])
+def test_batch_with_a_newline_word_and_an_exception_word(monkeypatch, unique_batch):
+    # The word holding a newline makes the batch fold word by word; the
+    # exception words still win over their rule output. With a unique_batch
+    # of 2, the batch takes the path that memoizes nothing.
+    monkeypatch.setattr(rules, "_UNIQUE_BATCH", unique_batch)
+    words = ["pp", "b\nb", "BB", "bb", "Pb"]
+    expected = ["بب", "ب\nب", "ق", "ق", "بب"]
+    assert parse_rules(_COLLIDING)._outputs(words) == (expected, len(words))
+
+
+@st.composite
+def small_tables(draw):
+    # Two or three letters, so that most first letters have several rules:
+    # groups of initial and after_vowel rules alone (guarded, often with one
+    # pattern in both contexts) and groups that mix in any and final. The
+    # vowel set may be empty or leave out a group's letter.
+    letters = draw(st.sampled_from(["ab", "ae", "ea", "abe", "aeb"]))
+    patterns = st.text(st.sampled_from(letters), min_size=1, max_size=2)
+    contexts = st.sampled_from([Context.WORD_INITIAL, Context.AFTER_VOWEL] * 2 + list(Context))
+    keys = draw(st.lists(st.tuples(patterns, contexts), min_size=1, max_size=10, unique=True))
+    output = st.text(st.sampled_from("بتج"), max_size=2)
+    table = [Rule(pattern, context, draw(output)) for pattern, context in keys]
+    words = st.text(st.sampled_from(letters), min_size=1, max_size=3)
+    exceptions = draw(st.dictionaries(words, output, max_size=2))
+    return RuleSet(tuple(table), exceptions, draw(st.frozensets(st.sampled_from(letters))))
+
+
+@given(small_tables(), st.data())
+def test_grouped_step_one_matches_naive_text(table, data):
+    # Words over the table's letters, one with no rule and an upper case.
+    word = st.text(st.sampled_from("abeoAE"), min_size=1, max_size=6)
+    words = data.draw(st.lists(word, min_size=1, max_size=12))
+    text = " ".join(words)
+    for strict in (False, True):
+        fresh = RuleSet(table.rules, table.exceptions, table.latin_vowels)  # every word misses
+        assert outcome(transliterate_text, text, fresh, strict=strict) == outcome(
+            naive_transliterate_text, text, table, EngineConfig(), strict=strict
+        ), text
+    for word in words:
+        unmatched = table._first_unmatched(word)
+        assert (unmatched or (-1,))[0] == naive_parse(naive_fold(word), table)[1], word
