@@ -17,8 +17,6 @@ letter left over. Splitting on the separator gives each word's output. The
 compile step (``_compile``) is the one place that states which rule wins, why
 the two steps agree with it, and why the separator keeps the words apart.
 
-
-
 Rule files are plain UTF-8 text, one rule per line:
 
     pattern<TAB>context<TAB>output
@@ -159,8 +157,8 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-# Joins the folded words of a batch: lower() maps U+00DE to U+00FE, and no character lowers or
-# composes to it. A regex class compiles 0.1 ms faster without a character past U+00FF.
+# Joins a batch's folded words; lower() maps U+00DE to U+00FE, and no character lowers
+# or composes to it. Regex classes compile 0.1 ms faster without one past U+00FF.
 _SEPARATOR = "\u00de"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
@@ -203,7 +201,6 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     check, not two. Past it, a rule with the pattern of an earlier rule needs
     no check: it is reached only where that rule, of the other context, fails.
 
-
     Step 2 is one ``str.replace`` per single-letter ``any`` rule (a
     ``str.translate`` table would raise and clear a ``KeyError`` for each
     Arabic letter step 1 wrote). The two steps give what one alternation over
@@ -213,9 +210,6 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     1 writes only Arabic letters, which step 2 leaves alone, and its
     lookarounds see the Latin words. The order of step 2's replacements does
     not matter: each replaces one Latin letter with Arabic ones.
-
-
-
 
     Step 2 leaves a character with no rule as it is, so every character no
     rule matched reaches the output unchanged; strict mode relies on that (see
@@ -242,7 +236,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
             groups.setdefault(rule.pattern[0], []).append(key)
     branches, guardable = [], (Context.WORD_INITIAL, Context.AFTER_VOWEL)
     for first, keyed in groups.items():
-        group = groups[first] = [rule for *_, rule in sorted(keyed)]  # no two orders tie
+        group = groups[first] = [rule for *_, rule in sorted(keyed)]  # no Rule is compared
         guarded = len(group) > 1 and all(rule.context in guardable for rule in group)
         seen, alternatives = set(), []
         for rule in group:
