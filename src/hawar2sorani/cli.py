@@ -162,7 +162,7 @@ def _build_check_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(DigitMode(args.digits), PunctMode(args.punct), args.rlm)
+    return EngineConfig(args.digits, args.punct, args.rlm)
 
 
 # Batch size for streaming reads. readlines() returns whole lines, so memory

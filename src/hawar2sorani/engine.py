@@ -46,6 +46,8 @@ class EngineConfig(_Value):
     def __init__(
         self, digit_mode=DigitMode.KEEP, punct_mode=PunctMode.ARABIC_SCRIPT, emit_rlm=False
     ):
+        # A member or its value ("keep", "arabic"); anything else raises ValueError.
+        digit_mode, punct_mode = DigitMode(digit_mode), PunctMode(punct_mode)
         self._set_fields(digit_mode, punct_mode, emit_rlm)
         # map_symbols' (symbol, replacement) pairs, built once per config.
         pairs = _PUNCT_TO_ARABIC if punct_mode is PunctMode.ARABIC_SCRIPT else ()
@@ -123,6 +125,8 @@ _STOP_WITH_RLM = "." + RLM
 # character exactly where no rule matched it; strict mode looks for one. Every
 # word of a text is such a run; any other word may hide an unmatched Arabic
 # letter (typed, or composed by NFC: U+064A U+0654), so strict mode walks it.
+# Such a run folds to LATIN_RULE_CHARS alone, so a table with a single-letter any
+# rule for each (RuleSet._maps_every_letter) needs no scan; a wider _WORD must recheck.
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
@@ -162,7 +166,7 @@ def _rewrite_words(text: str, rs: RuleSet, strict: bool) -> tuple:
     output of each word, how many distinct words missed the word memo)."""
     pieces = _WORD.split(text)
     outputs, misses = rs._outputs(pieces[1::2])
-    if strict and _NOT_ARABIC.search("".join(outputs)):
+    if strict and not rs._maps_every_letter and _NOT_ARABIC.search("".join(outputs)):
         raise _strict_error(pieces, outputs, rs)
     pieces[1::2] = outputs
     return "".join(pieces), outputs, misses
@@ -187,7 +191,9 @@ def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
         return "\n".join(rewrites)
     text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
     rewritten, outputs, misses = _rewrite_words(text, rs, strict)
-    if misses <= len(outputs) * _WORD_MISS_SHARE and not _NOT_ARABIC.search("".join(outputs)):
+    if misses <= len(outputs) * _WORD_MISS_SHARE and (
+        rs._maps_every_letter or not _NOT_ARABIC.search("".join(outputs))
+    ):
         rs._keep_lines(
             {
                 line: rewrite

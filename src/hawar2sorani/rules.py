@@ -5,9 +5,9 @@ output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
 and keeps the engine's second memo, of lines as given to their NFC form
 with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
-share one lock and one size limit. A batch of 512 words or more in which no
-word repeats or hits the word memo, such as a word list, is rewritten
-without filling it: such words would only push out words that do repeat.
+share one lock and one size limit. A batch whose first 512 words are distinct
+and none in the word memo, such as a word list, is rewritten without filling
+either memo: its words would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word the engine
 cuts holds), the newlines swapped for a separator no folded word holds, then
@@ -163,18 +163,18 @@ _SEPARATOR = "\u00de"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
-# once per batch: one whose misses would overflow it clears the memo. A long
-# batch in which no word repeats or hits the memo (a word list) fills nothing
-# (see _UNIQUE_BATCH). The line memo has the same limit and the same clear.
+# once per batch: one whose misses would overflow it clears the memo. A word
+# list fills nothing (see _UNIQUE_BATCH). The line memo has the same limit and
+# the same clear.
 _CACHE_LIMIT = 1 << 17
-# A batch of at least this many words, none repeated and none in the memo, is
-# rewritten without filling the memo. Prose never has such a batch: in the
+# A batch whose first this many words are distinct and none in the memo is a
+# word list, rewritten without hashing its other words or filling the memo,
+# even if a later word repeats. Prose never starts such a batch: in the
 # benchmark's repeat-block and strict-lines texts (seeds 101 and 523) the
-# longest run of words with no repeat is 31-33 words, and api-short's
-# sentences have 2-9. Every 32 KB CLI batch of unique-words has 3,872 words or
-# more; filling the memo from them never gave a hit, and skipping the fill cut
-# the CLI's peak RSS on that input from 40.7 to 16.5 MB and cli._stream's time
-# from 297-336 to 225-252 ms (seed 101, best of 7, 3 alternations).
+# longest run of words with no repeat is 31-33 words, and api-short's sentences
+# have 2-9. Every 32 KB CLI batch of unique-words has 3,872 words or more;
+# filling the memo from them never gave a hit, and skipping the fill cut the
+# CLI's peak RSS on that input from 40.7 to 16.5 MB.
 _UNIQUE_BATCH = 512
 
 
@@ -292,6 +292,7 @@ class RuleSet(_Value):
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
+        set_attribute(self, "_maps_every_letter", LATIN_RULE_CHARS.issubset(letters))
         set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
         # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
@@ -302,9 +303,9 @@ class RuleSet(_Value):
         """(the output of each raw word, how many distinct words missed the memo).
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the batch has ``_UNIQUE_BATCH`` words or more and every one of them
-        missed: no word of it repeats or is in the memo, so memoizing them
-        would cost memory and time for no hit.
+        the first ``_UNIQUE_BATCH`` words of the batch are distinct and all
+        missed: then it is a word list, every word of which counts as a miss,
+        and memoizing them would cost memory and time for no hit.
         """
         # The lock keeps one thread's clear from landing between another
         # thread's fill and its reads.
@@ -314,9 +315,12 @@ class RuleSet(_Value):
                 return list(map(cache.__getitem__, words)), 0
             except KeyError:
                 pass
-            missing = set(words).difference(cache)
-            if len(missing) == len(words) >= _UNIQUE_BATCH:  # kept, it would never hit
-                return self._rewrite(words), len(words)
+            missing = set(words[:_UNIQUE_BATCH])
+            # A keys view checks the smaller side; set.isdisjoint(dict) walks the whole memo.
+            if len(missing) == _UNIQUE_BATCH and cache.keys().isdisjoint(missing):
+                return self._rewrite(words), len(words)  # a word list: no word of it would hit
+            missing.update(words[_UNIQUE_BATCH:])
+            missing = missing.difference(cache)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
                 missing = set(words)

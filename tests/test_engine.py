@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawar2sorani import cli, engine, rules, transliterate
-from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
+from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
 from hawar2sorani.engine import (
     RLM,
     DigitMode,
@@ -24,7 +24,15 @@ from hawar2sorani.engine import (
     transliterate_text,
     transliterate_word,
 )
-from hawar2sorani.rules import RuleSet, default_rules, fold_word, parse_rules, serialize_rules
+from hawar2sorani.rules import (
+    Context,
+    Rule,
+    RuleSet,
+    default_rules,
+    fold_word,
+    parse_rules,
+    serialize_rules,
+)
 from helpers import (
     naive_fold,
     naive_parse,
@@ -289,6 +297,26 @@ def test_config_pickles(protocol):
     assert type(copy) is EngineConfig and copy == custom and hash(copy) == hash(custom)
     assert repr(copy) == _CONFIG_REPR
     assert map_symbols("1,", copy) == "١,"
+
+
+def test_config_takes_a_mode_or_its_value(rs):
+    by_value = EngineConfig(digit_mode="arabic", punct_mode="keep")
+    by_member = EngineConfig(DigitMode.ARABIC_INDIC, PunctMode.KEEP)
+    assert by_value == by_member and hash(by_value) == hash(by_member)
+    assert repr(by_value) == repr(by_member)
+    text = "sal 1984, baş?"
+    assert transliterate_text(text, rs, by_value) == "سال ١٩٨٤, باش?"
+    assert transliterate_text(text, rs, by_member) == "سال ١٩٨٤, باش?"
+    assert EngineConfig("keep", "arabic") == EngineConfig()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(by_value, protocol))
+        assert copy == by_member and copy.digit_mode is DigitMode.ARABIC_INDIC
+        assert transliterate_text(text, rs, copy) == "سال ١٩٨٤, باش?"
+    # A wrong value, a wrong case, None, or the other field's member.
+    wrong = (("x", "keep"), ("keep", "ARABIC"), (None, "keep"), ("keep", DigitMode.KEEP))
+    for digit_mode, punct_mode in wrong:
+        with pytest.raises(ValueError):
+            EngineConfig(digit_mode, punct_mode)
 
 
 def test_config_refuses_every_assignment_and_deletion():
@@ -856,9 +884,10 @@ def test_long_batch_of_distinct_words_strict_error_position():
 
 
 def test_one_repeat_or_memo_hit_fills_the_memo():
+    # A repeat or a memo hit among the first rules._UNIQUE_BATCH words.
     words = _random_words(random.Random(19), 3000)
     table = default_rules()
-    repeated = words + [words[1]]  # in lower case both times
+    repeated = words[:100] + [words[1]] + words[100:]  # in lower case both times
     expected = naive_transliterate_text(_word_list(repeated), table, EngineConfig())
     assert transliterate_text(_word_list(repeated), table) == expected
     assert len(table._word_cache) == 3000
@@ -871,6 +900,25 @@ def test_one_repeat_or_memo_hit_fills_the_memo():
     assert len(table._word_cache) == 3000
 
 
+def test_repeat_or_memo_hit_after_the_first_words_fills_no_memo():
+    # The first rules._UNIQUE_BATCH words alone tell a word list: a repeat or
+    # a memo hit after them leaves both memos as they were.
+    words = _random_words(random.Random(29), 3000)
+    known = words[701]  # past the first words; _word_list keeps it, and its repeat, lower case
+    assert 701 > rules._UNIQUE_BATCH
+    repeated = _word_list(words + [known])
+    for strict in (False, True):
+        table = default_rules()
+        expected = naive_transliterate_text(repeated, table, EngineConfig())
+        assert transliterate_text(repeated, table, strict=strict) == expected
+        assert table._word_cache == {} and table._line_cache == {}
+        table = default_rules()
+        transliterate_word(known, table)
+        expected = naive_transliterate_text(_word_list(words), table, EngineConfig())
+        assert transliterate_text(_word_list(words), table, strict=strict) == expected
+        assert list(table._word_cache) == [known] and table._line_cache == {}
+
+
 def test_short_batches_of_distinct_words_fill_the_memo():
     table = default_rules()
     assert transliterate_text("Min û tu diçin.", table) == "من و تو دچن."
@@ -879,6 +927,53 @@ def test_short_batches_of_distinct_words_fill_the_memo():
     text = _word_list(words)
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
     assert len(table._word_cache) == 4 + len(words)
+
+
+# ------------------------------------------------------------- strict skip
+# A table with a single-letter any rule for every rule letter writes only
+# Arabic letters for every word the engine cuts, so strict mode does not scan
+# its outputs. A wider engine._WORD must recompute the flag.
+
+
+def _table_with_initial_x():
+    """The built-in table with x's only rule word-initial: an x inside a word is unmatched."""
+    return parse_rules(serialize_rules(default_rules()).replace("x\tany\t", "x\tinitial\t"))
+
+
+def test_every_one_letter_word_folds_to_rule_letters():
+    # Each code point alone, and between two letters, where an apostrophe joins too.
+    code_points = range(sys.maxunicode + 1)
+    words = [word for word in map(chr, code_points) if engine._WORD.fullmatch(word)]
+    between = (f"a{chr(i)}a" for i in code_points)
+    words += [word for word in between if engine._WORD.fullmatch(word)]
+    assert len(words) == 2 * len(KURDISH_LATIN_LETTERS) + len(APOSTROPHES)
+    for word in words:
+        assert LATIN_RULE_CHARS.issuperset(fold_word(word)), word
+
+
+def test_only_a_table_mapping_every_letter_skips_the_strict_scan():
+    assert default_rules()._maps_every_letter
+    assert not _table_without_q()._maps_every_letter
+    initial_x = _table_with_initial_x()
+    assert Rule("x", Context.WORD_INITIAL, "خ") in initial_x.rules
+    assert not initial_x._maps_every_letter
+
+
+def test_letter_with_only_an_initial_rule_strict_error_position():
+    table = _table_with_initial_x()
+    lines = ["Xwezî min û tu li Kurdistanê bin, ne wisa?"] * 3000
+    lines[2222] = "Ew baxçe mezin e."
+    text = "\n".join(lines) + "\n"
+    assert len(text.encode("utf-8")) > 3 * cli._BATCH_BYTES
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == ("x", 2, 2223, 6)
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    table = _table_with_initial_x()
+    with pytest.raises(UnmatchedCharacter) as error:
+        cli._stream(io.BytesIO(text.encode("utf-8")), io.BytesIO(), table, EngineConfig(), True)
+    assert table._line_cache  # the first batch filled it; the error is in a later one
+    got = error.value
+    assert (got.char, got.offset, got.line, got.column) == expected
 
 
 # ----------------------------------------------------------- normalization
