@@ -48,7 +48,9 @@ class EngineConfig(_Value):
     ):
         # A member or its value ("keep", "arabic"); anything else raises ValueError.
         digit_mode, punct_mode = DigitMode(digit_mode), PunctMode(punct_mode)
-        self._set_fields(digit_mode, punct_mode, emit_rlm)
+        if emit_rlm not in (True, False):
+            raise ValueError(f"emit_rlm must be True or False, not {emit_rlm!r}")
+        self._set_fields(digit_mode, punct_mode, bool(emit_rlm))
         # map_symbols' (symbol, replacement) pairs, built once per config.
         pairs = _PUNCT_TO_ARABIC if punct_mode is PunctMode.ARABIC_SCRIPT else ()
         if digit_mode is DigitMode.ARABIC_INDIC:
@@ -88,18 +90,27 @@ class UnmatchedCharacter(ValueError):
 def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     """Rewrite one word. Characters without a rule pass through.
 
-    With ``strict`` a pass-through character raises UnmatchedCharacter
-    instead.
+    A word is a non-empty string whose NFC form holds only Kurdish Latin
+    letters and apostrophes; anything else raises ValueError. With
+    ``strict`` a pass-through character raises UnmatchedCharacter instead.
+
+    >>> from hawar2sorani import default_rules
+    >>> rs = default_rules()
+    >>> transliterate_word("Se’îd", rs)
+    'سەعید'
+    >>> transliterate_word("s\\u0327e\\u0302r", rs)  # şêr in NFD
+    'شێر'
+    >>> transliterate_word("min û", rs)
+    Traceback (most recent call last):
+    ValueError: not one word: 'min û'
     """
+    if not word or not _WORD_CHARS.issuperset(unicodedata.normalize("NFC", word)):
+        raise ValueError(f"not one word: {word!r}")
     (output,), _ = rs._outputs([word])
-    if strict and (
-        _NOT_ARABIC.search(output) or not _WORD.fullmatch(unicodedata.normalize("NFC", word))
-    ):
-        unmatched = rs._first_unmatched(word)
-        if unmatched is not None:
-            raise UnmatchedCharacter(unmatched[1], unmatched[0])
-    # A word's output can compose with a combining mark it holds.
-    return unicodedata.normalize("NFC", output)
+    if strict and _NOT_ARABIC.search(output):
+        offset, char = rs._first_unmatched(word)
+        raise UnmatchedCharacter(char, offset)
+    return output
 
 
 def map_symbols(text: str, cfg: EngineConfig) -> str:
@@ -111,6 +122,7 @@ def map_symbols(text: str, cfg: EngineConfig) -> str:
     return text
 
 
+_WORD_CHARS = KURDISH_LATIN_LETTERS | APOSTROPHES
 _LETTERS = re.escape("".join(sorted(KURDISH_LATIN_LETTERS)))
 _APOSTROPHES = re.escape("".join(sorted(APOSTROPHES)))
 # Leading apostrophes join the word, so a run of apostrophes alone is not one.
@@ -121,12 +133,10 @@ _WORD = re.compile(f"([{_APOSTROPHES}]*[{_LETTERS}][{_LETTERS}{_APOSTROPHES}]*)"
 _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
 # Rule tables write only Arabic letters (Rule and RuleSet check them) and an
-# NFC word that is one _WORD run folds to none, so its output holds another
-# character exactly where no rule matched it; strict mode looks for one. Every
-# word of a text is such a run; any other word may hide an unmatched Arabic
-# letter (typed, or composed by NFC: U+064A U+0654), so strict mode walks it.
-# Such a run folds to LATIN_RULE_CHARS alone, so a table with a single-letter any
-# rule for each (RuleSet._maps_every_letter) needs no scan; a wider _WORD must recheck.
+# NFC word folds to none, so its output holds another character exactly where
+# no rule matched it; strict mode looks for one. A word folds to
+# LATIN_RULE_CHARS alone, so a table with a single-letter any rule for each
+# (RuleSet._maps_every_letter) needs no scan; wider word characters must recheck.
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 

@@ -9,8 +9,8 @@ share one lock and one size limit. A batch whose first 512 words are distinct
 and none in the word memo, such as a word list, is rewritten without filling
 either memo: its words would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
-(``fold_word`` over the words joined with newlines, which no word the engine
-cuts holds), the newlines swapped for a separator no folded word holds, then
+(``fold_word`` over the words joined with newlines, which no word holds),
+the newlines swapped for a separator no folded word holds, then
 one regular expression replaces every match of a longer or context rule, left
 to right, and one ``str.replace`` per single-letter ``any`` rule maps each
 letter left over. Splitting on the separator gives each word's output. The
@@ -134,7 +134,11 @@ class Rule(_Value):
 
     __match_args__ = ("pattern", "context", "output")
 
-    def __init__(self, pattern: str, context: Context, output: str):
+    def __init__(self, pattern: str, context: Context | str, output: str):
+        try:
+            context = Context(context)  # a member or its value ("any", "initial", ...)
+        except ValueError:
+            raise MalformedLine(f"unknown context {context!r}") from None
         if not pattern:
             raise MalformedLine("empty pattern")
         if len(pattern) > 3:
@@ -188,7 +192,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     pattern, output or vowel holds the separator, so no match spans two words
     and the outputs split apart again. Word-initial is "not after a character
     other than the separator", word-final "not before one": on a lone word,
-    the start and the end of the string, even if the word holds a newline.
+    the start and the end of the string.
 
     Step 1 is one regex alternation over every rule but the single-letter
     ``any`` ones, grouped by first letter (no two first letters match at one
@@ -359,21 +363,16 @@ class RuleSet(_Value):
 
         One ``fold_word`` pass over the words joined with newlines, one swap of
         the newlines for the separator, one regex pass, one ``str.replace`` per
-        single-letter ``any`` rule, one split. No word the engine cuts holds a
-        newline; NFC never composes or reorders across one, and ``str.lower``
-        sees it as neither cased nor case-ignorable, so it also bounds final
-        sigma: each line folds alone. A batch with a word that holds one (a
-        library caller's) is folded word by word. An exception word is its own
-        fold, and a rule output depends only on the fold, so only a batch with
-        an output in ``_exception_outputs`` (theirs) can hold one.
+        single-letter ``any`` rule, one split. No word holds a newline; NFC
+        never composes or reorders across one, and ``str.lower`` sees it as
+        neither cased nor case-ignorable, so it also bounds final sigma: each
+        line folds alone. An exception word is its own fold, and a rule output
+        depends only on the fold, so only a batch with an output in
+        ``_exception_outputs`` (theirs) can hold one.
         """
         if not words:
             return []
-        folded = fold_word("\n".join(words))
-        if folded.count("\n") == len(words) - 1:
-            folded = folded.replace("\n", _SEPARATOR)
-        else:
-            folded = _SEPARATOR.join(map(fold_word, words))
+        folded = fold_word("\n".join(words)).replace("\n", _SEPARATOR)
         outputs = self._apply(folded).split(_SEPARATOR)
         if self._exception_outputs.isdisjoint(outputs):
             return outputs
@@ -386,22 +385,15 @@ class RuleSet(_Value):
             rewritten = rewritten.replace(letter, output)
         return rewritten
 
-    def _first_unmatched(self, word: str):
-        """(index, char) of the first character of ``fold_word(word)`` no rule matches, or None.
+    def _first_unmatched(self, word: str) -> tuple:
+        """(index, char) of the first character of ``fold_word(word)`` no rule matches.
 
         Unmatched: a character no match of step 1 covers and step 2 lacks.
-        Strict mode walks only a word its output check cannot clear (``engine._NOT_ARABIC``).
+        Strict mode walks only a word whose output holds one (``engine._NOT_ARABIC``).
         """
-        folded = fold_word(word)
-        if folded in self.exceptions:
-            return None
-        covered = set()
-        for match in self._regex.finditer(folded):
-            covered.update(range(match.start(), match.end()))
-        for index, char in enumerate(folded):
-            if index not in covered and char not in self._letters:
-                return index, char
-        return None
+        folded, letters = fold_word(word), self._letters
+        covered = {i for match in self._regex.finditer(folded) for i in range(*match.span())}
+        return next((i, c) for i, c in enumerate(folded) if i not in covered and c not in letters)
 
     def __hash__(self):
         # exceptions is compared but not hashed: a read-only dict view is unhashable.
@@ -416,7 +408,6 @@ class RuleSet(_Value):
 # Rule-file syntax.
 EMPTY_OUTPUT_MARK = "∅"
 EXCEPTION_CONTEXT_TOKEN = "word"
-_CONTEXT_TOKENS = {context.value: context for context in Context}
 
 
 def parse_rules(text: str) -> RuleSet:
@@ -470,11 +461,8 @@ def parse_rules(text: str) -> RuleSet:
             exceptions[pattern] = output
             lines[pattern] = lineno
             continue
-        context = _CONTEXT_TOKENS.get(context_token)
-        if context is None:
-            raise MalformedLine(f"unknown context {context_token!r}", line=lineno)
         try:
-            rules.append(Rule(pattern, context, output))
+            rules.append(Rule(pattern, context_token, output))
         except RuleError as error:
             error.line = lineno
             raise

@@ -81,19 +81,7 @@ def test_batched_fold_equals_fold_word_on_every_code_point(monkeypatch):
     monkeypatch.setattr(rules, "fold_word", lambda text: passes.append(text) or fold_word(text))
     for words in (code_points, [f"a{c}a" for c in assigned], [f"Σ{c}Σ" for c in assigned]):
         assert no_rules._rewrite(words) == list(map(fold_word, words))
-    assert len(passes) == 3  # one per batch: no batch was folded word by word
-
-
-@pytest.mark.parametrize("unique_batch", [rules._UNIQUE_BATCH, 2])
-def test_batch_with_a_word_holding_a_newline(monkeypatch, unique_batch):
-    # No word the engine cuts holds a newline, but a library caller's may:
-    # then each word of its batch is folded alone. With a unique_batch of 2,
-    # the batch takes the path that memoizes nothing.
-    monkeypatch.setattr(rules, "_UNIQUE_BATCH", unique_batch)
-    words = ["Min", "Kurdistan\nê", "Se’îd", "û", "\u0308a", "BAŞ\n", "ΣΣ\nΣ"]
-    alone = [default_rules()._outputs([word])[0][0] for word in words]
-    assert alone[1] == "کوردستان\nێ"  # the newline passes through; ê is not word-initial
-    assert default_rules()._outputs(words) == (alone, len(words))
+    assert len(passes) == 3  # one fold_word call per batch
 
 
 # ------------------------------------------------------- transliterate_word
@@ -150,9 +138,15 @@ def test_word_strict_raises():
     ],
 )
 def test_word_strict_finds_what_the_output_hides(rs, word, char, offset):
-    with pytest.raises(UnmatchedCharacter) as exc_info:
-        transliterate_word(word, rs, strict=True)
-    assert (exc_info.value.char, exc_info.value.offset) == (char, offset)
+    # A typed Arabic letter, one that NFC composes and a digit: ``char``, at
+    # ``offset`` of the string's NFC form, is no word character, so
+    # transliterate_word refuses each, strict or not.
+    nfc = unicodedata.normalize("NFC", word)
+    assert nfc[offset] == char and char not in engine._WORD_CHARS
+    for strict in (False, True):
+        with pytest.raises(ValueError) as exc_info:
+            transliterate_word(word, rs, strict=strict)
+        assert type(exc_info.value) is ValueError
 
 
 def test_word_strict_accepts_a_decomposed_word(rs):
@@ -190,8 +184,10 @@ def test_word_strict_cache_interaction():
 
 def test_word_separator_like_characters_match_oracle(rs):
     # The engine rewrites a batch of words joined by U+00DE; a newline, that
-    # letter or U+00FE (its lowercase) inside a word must not act as a
-    # boundary, nor U+2126 or U+03A9 (its NFC form).
+    # letter or U+00FE (its lowercase) beside a word must not join two words'
+    # rule contexts, nor U+2126 or U+03A9 (its NFC form). A string holding
+    # one is not a word: transliterate_word refuses it, and as a text it
+    # matches the oracle.
     table = parse_rules(
         "a\tinitial\tئا\na\tafter_vowel\tع\na\tany\tا\nn\tfinal\tین\nn\tany\tن\n"
         "na\tfinal\tنە\n"
@@ -201,13 +197,22 @@ def test_word_separator_like_characters_match_oracle(rs):
         for length in range(1, 4):
             for chars in itertools.product(alphabet, repeat=length):
                 word = "".join(chars)
-                try:
-                    transliterate_word(word, ruleset, strict=True)
-                    offset = -1
-                except UnmatchedCharacter as exc:
-                    offset = exc.offset
-                got = (transliterate_word(word, ruleset), offset)
-                assert got == naive_parse(naive_fold(word), ruleset), repr(word)
+                if set(word) <= {"a", "n"}:
+                    try:
+                        transliterate_word(word, ruleset, strict=True)
+                        offset = -1
+                    except UnmatchedCharacter as exc:
+                        offset = exc.offset
+                    got = (transliterate_word(word, ruleset), offset)
+                    assert got == naive_parse(naive_fold(word), ruleset), repr(word)
+                else:
+                    for strict in (False, True):
+                        with pytest.raises(ValueError):
+                            transliterate_word(word, ruleset, strict=strict)
+                for strict in (False, True):
+                    assert outcome(transliterate_text, word, ruleset, strict=strict) == outcome(
+                        naive_transliterate_text, word, ruleset, EngineConfig(), strict=strict
+                    ), repr(word)
 
 
 # ------------------------------------------------------------- map_symbols
@@ -317,6 +322,13 @@ def test_config_takes_a_mode_or_its_value(rs):
     for digit_mode, punct_mode in wrong:
         with pytest.raises(ValueError):
             EngineConfig(digit_mode, punct_mode)
+    # emit_rlm takes a value equal to True or False, stored as a bool.
+    assert EngineConfig(emit_rlm=1) == EngineConfig(emit_rlm=True)
+    assert EngineConfig(emit_rlm=0).emit_rlm is False
+    assert repr(EngineConfig("arabic", "keep", 1)) == _CONFIG_REPR
+    for emit_rlm in ("no", "", None, 2, [True]):
+        with pytest.raises(ValueError):
+            EngineConfig(emit_rlm=emit_rlm)
 
 
 def test_config_refuses_every_assignment_and_deletion():
@@ -392,7 +404,8 @@ def test_text_output_is_nfc(rs, cfg):
     # U+0654 ARABIC HAMZA ABOVE after a word composes with the word's last
     # letter once it is Arabic: U+0627 ALEF + U+0654 is U+0623 in NFC.
     assert transliterate("ba\u0654") == "\u0628\u0623"
-    assert transliterate_word("ba\u0654", rs) == "\u0628\u0623"
+    with pytest.raises(ValueError):  # the mark is no word character
+        transliterate_word("ba\u0654", rs)
     text = "ba\u0654 min\u0654\n\u00fb\u0654 0\u0654"
     assert transliterate_text(text, rs, cfg) == naive_transliterate_text(text, rs, cfg)
     assert unicodedata.is_normalized("NFC", transliterate_text(text, rs, cfg))
@@ -523,6 +536,41 @@ def test_line_count_preserved(rs, cfg, text):
 @given(st.text(st.sampled_from(sorted(LATIN_RULE_CHARS)), min_size=1, max_size=8))
 def test_greedy_matches_oracle(rs, word):
     assert transliterate_word(word, rs) == naive_transliterate_word(word, rs)
+
+
+@given(_mixed_texts)
+def test_every_word_of_a_text_is_one_word(rs, text):
+    # The words the text path cuts are words to transliterate_word too.
+    for word in engine._WORD.split(unicodedata.normalize("NFC", text))[1::2]:
+        for strict in (False, True):
+            got = transliterate_word(word, rs, strict=strict)
+            assert got == naive_transliterate_word(naive_fold(word), rs), word
+
+
+_WORD_OR_NOT = ["a", "e", "ê", "E", "'", "’", "0", " ", "\n", "ب", "\u0302", "\u0654"]
+
+
+@given(st.text(st.sampled_from(_WORD_OR_NOT)))
+@example("e\u0302")  # NFC: ê
+@example("a\u0654")  # NFC leaves the mark
+@example("")
+def test_word_contract(word):
+    # Accepted: a non-empty string whose NFC form holds only Kurdish Latin
+    # letters and apostrophes. A refused string leaves both memos as they were.
+    table = default_rules()
+    transliterate_text(_long("min û tu"), table)  # fills both memos
+    memos = dict(table._word_cache), dict(table._line_cache)
+    nfc = unicodedata.normalize("NFC", word)
+    is_word = bool(word) and all(c in KURDISH_LATIN_LETTERS or c in APOSTROPHES for c in nfc)
+    for strict in (False, True):
+        if is_word:
+            got = transliterate_word(word, table, strict=strict)
+            assert got == naive_transliterate_word(naive_fold(word), table), word
+        else:
+            with pytest.raises(ValueError):
+                transliterate_word(word, table, strict=strict)
+            assert (table._word_cache, table._line_cache) == memos
+    assert (word in table._word_cache) == is_word
 
 
 @given(_mixed_texts)

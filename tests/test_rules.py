@@ -163,6 +163,16 @@ def test_parse_normalizes_nfc():
 
 # ----------------------------------------------------------- construction
 
+def test_rule_takes_a_context_or_its_value():
+    for context in Context:
+        by_value = Rule("b", context.value, "ب")
+        assert by_value == Rule("b", context, "ب") and by_value.context is context
+    assert RuleSet((Rule("a", "any", "ا"),)) == RuleSet((Rule("a", Context.ANY, "ا"),))
+    for context in ("medial", "ANY", "word", "", None, Context, []):
+        with pytest.raises(MalformedLine, match="unknown context"):
+            Rule("b", context, "ب")
+
+
 def test_rule_validates_itself():
     with pytest.raises(PatternTooLong):
         Rule("abcd", Context.ANY, "ب")
@@ -511,7 +521,8 @@ def test_lookup_initial_beats_any(rs):
 
 def test_lookup_none_for_foreign_char(rs):
     assert _parse("mot", rs) == ("مۆت", -1)
-    assert _parse("m0t", rs) == ("م0ت", 1)
+    with pytest.raises(ValueError):  # not one word
+        _parse("m0t", rs)
 
 
 def test_exceptions_inside_a_batch():
@@ -570,27 +581,37 @@ def test_lookup_matches_naive_scan(word):
     assert _parse(word, _WORD_FINAL_SET) == naive_parse(word, _WORD_FINAL_SET)
 
 
+def _assert_matches_naive(word, table, *, as_text=False):
+    # A word matches the oracle's parse; with ``as_text`` strict mode is
+    # checked on it as a text too, which reads the unmatched characters off
+    # the output instead of walking it. A string holding a character no rule
+    # matches (0) or an Arabic letter, which the rule outputs look like, is
+    # not a word: transliterate_word refuses it, and as a strict text it
+    # matches the oracle.
+    if "0" in word or "ب" in word:
+        with pytest.raises(ValueError):
+            _parse(word, table)
+        as_text = True
+    else:
+        assert _parse(word, table) == naive_parse(word, table), word
+    if as_text:
+        assert outcome(transliterate_text, word, table, strict=True) == outcome(
+            naive_transliterate_text, word, table, EngineConfig(), strict=True
+        ), word
+
+
 @pytest.mark.parametrize("name", sorted(_PARTIAL_TABLES))
 @given(word=st.text(st.sampled_from(sorted(LATIN_RULE_CHARS) + ["0", "ب"]), min_size=1, max_size=8))
 def test_partial_tables_match_naive_scan(name, word):
-    table = _PARTIAL_TABLES[name]
-    assert _parse(word, table) == naive_parse(word, table)
+    _assert_matches_naive(word, _PARTIAL_TABLES[name])
 
 
 def _assert_matches_naive_parse_exhaustive(table, *, as_text=False):
-    # Every word of length up to 3 over the rule alphabet plus a character no
-    # rule matches and an Arabic letter, which the rule outputs look like.
-    # With ``as_text`` strict mode is checked on the word as a text too, which
-    # reads the unmatched characters off the output instead of walking it.
+    # Every string of length up to 3 over the rule alphabet plus 0 and ب.
     alphabet = sorted(LATIN_RULE_CHARS) + ["0", "ب"]
     for length in range(1, 4):
         for chars in itertools.product(alphabet, repeat=length):
-            word = "".join(chars)
-            assert _parse(word, table) == naive_parse(word, table), word
-            if as_text:
-                assert outcome(transliterate_text, word, table, strict=True) == outcome(
-                    naive_transliterate_text, word, table, EngineConfig(), strict=True
-                ), word
+            _assert_matches_naive("".join(chars), table, as_text=as_text)
 
 
 def test_lookup_matches_naive_scan_on_default_exhaustive(rs):
@@ -634,13 +655,13 @@ def test_exception_among_words_with_its_rule_output():
 
 
 @pytest.mark.parametrize("unique_batch", [rules._UNIQUE_BATCH, 2])
-def test_batch_with_a_newline_word_and_an_exception_word(monkeypatch, unique_batch):
-    # The word holding a newline makes the batch fold word by word; the
-    # exception words still win over their rule output. With a unique_batch
-    # of 2, the batch takes the path that memoizes nothing.
+def test_batch_with_exception_words_and_their_rule_output(monkeypatch, unique_batch):
+    # The exception words win over their rule output, which other words of
+    # the batch share. With a unique_batch of 2, the batch takes the path
+    # that memoizes nothing.
     monkeypatch.setattr(rules, "_UNIQUE_BATCH", unique_batch)
-    words = ["pp", "b\nb", "BB", "bb", "Pb"]
-    expected = ["بب", "ب\nب", "ق", "ق", "بب"]
+    words = ["pp", "BB", "bb", "Pb"]
+    expected = ["بب", "ق", "ق", "بب"]
     assert parse_rules(_COLLIDING)._outputs(words) == (expected, len(words))
 
 
@@ -673,5 +694,4 @@ def test_grouped_step_one_matches_naive_text(table, data):
             naive_transliterate_text, text, table, EngineConfig(), strict=strict
         ), text
     for word in words:
-        unmatched = table._first_unmatched(word)
-        assert (unmatched or (-1,))[0] == naive_parse(naive_fold(word), table)[1], word
+        assert _parse(word, table)[1] == naive_parse(naive_fold(word), table)[1], word
