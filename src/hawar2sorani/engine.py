@@ -5,11 +5,12 @@ least one letter. The word path splits a text into words and the gaps between
 them; the RuleSet gives every word's output in one call (it folds, memoizes
 and rewrites words; see rules.py), and the pieces are joined again. A long
 text whose every line is in the RuleSet's line memo is joined from it
-instead (see ``_rewrite_long``). Every character outside a word gets the
-configured punctuation and digit mapping or passes through. The engine also
-places strict-mode errors, marks line-final full stops and returns NFC. No
-rule context crosses a word boundary and words never cross lines, so
-line-by-line processing gives byte-identical output to whole-text
+instead, and a long word list whose gaps are all ASCII is folded and
+rewritten as one string (see ``_rewrite_long``). Every character outside a
+word gets the configured punctuation and digit mapping or passes through.
+The engine also places strict-mode errors, marks line-final full stops and
+returns NFC. No rule context crosses a word boundary and words never cross
+lines, so line-by-line processing gives byte-identical output to whole-text
 processing. A long text is normalized line by line, and only where the line
 memo misses, with the same result as whole-text NFC.
 """
@@ -19,7 +20,7 @@ import unicodedata
 from enum import Enum
 
 from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS
-from .rules import RuleSet, _Value
+from .rules import _GAP, RuleSet, _Value, fold_word
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -140,6 +141,17 @@ _STOP_WITH_RLM = "." + RLM
 _NOT_ARABIC = re.compile(f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]")
 
 
+# A word list's text is folded and rewritten whole (RuleSet._rewrite_text)
+# only where that gives what the words would. Every character must be ASCII or
+# a word character: then each gap is ASCII, the fold leaves it as it is, and
+# the words are the runs between gaps (about 6 ms per MB). No run may be
+# apostrophes alone, which is a gap, not a word (about 1 ms per MB, on the fold).
+# Pattern strings: re compiles each on first use and caches it, so a run that
+# meets no word list skips their 0.4 ms of compile.
+_NOT_ASCII_OR_WORD = f"[^\\x00-\\x7f{_LETTERS}{_APOSTROPHES}]"
+_APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
+
+
 # Shorter texts take the word path alone: filling the memo from api-short's
 # one-sentence calls cost 3.2 MB (+17%) of peak RSS.
 _LONG_TEXT = 4096
@@ -185,7 +197,12 @@ def _rewrite_words(text: str, rs: RuleSet, strict: bool) -> tuple:
 def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
     """``text`` with each word replaced by its output: joined from the line
     memo when it holds every line as given (its keys), else normalized line
-    by line and sent through the word path, which may fill the memo.
+    by line. A word list (``RuleSet._is_word_list``) is then folded and
+    rewritten as one string, with no split into words, when the table allows
+    it (``RuleSet._rewrites_texts``), no strict scan of the outputs is needed
+    and the text passes ``_NOT_ASCII_OR_WORD`` and ``_APOSTROPHES_ALONE``.
+    Any other text goes through the word path, which may fill the memo.
+    Neither memo is filled from a word list.
 
     A newline is a starter that composes with nothing, so the NFC lines join
     to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
@@ -200,6 +217,15 @@ def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
     if rewrites is not None:
         return "\n".join(rewrites)
     text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
+    if (
+        rs._rewrites_texts
+        and (rs._maps_every_letter or not strict)
+        and rs._starts_word_list(match[0] for match in _WORD.finditer(text))
+        and not re.search(_NOT_ASCII_OR_WORD, text)
+    ):
+        folded = fold_word(text)
+        if not re.search(_APOSTROPHES_ALONE, folded):
+            return rs._rewrite_text(folded)
     rewritten, outputs, misses = _rewrite_words(text, rs, strict)
     if misses <= len(outputs) * _WORD_MISS_SHARE and (
         rs._maps_every_letter or not _NOT_ARABIC.search("".join(outputs))

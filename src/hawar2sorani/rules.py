@@ -10,12 +10,15 @@ and none in the word memo, such as a word list, is rewritten without filling
 either memo: its words would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word holds),
-the newlines swapped for a separator no folded word holds, then
-one regular expression replaces every match of a longer or context rule, left
-to right, and one ``str.replace`` per single-letter ``any`` rule maps each
-letter left over. Splitting on the separator gives each word's output. The
-compile step (``_compile``) is the one place that states which rule wins, why
-the two steps agree with it, and why the separator keeps the words apart.
+then one regular expression replaces every match of a longer or context rule,
+left to right, and one ``str.replace`` per single-letter ``any`` rule maps
+each letter left over. Splitting on the newlines gives each word's output.
+The engine can also give a word list's text folded whole (``_rewrite_text``),
+its gaps left in place. A word starts and ends at a word boundary, an ASCII
+character that is not a word character (``_GAP``), or at an end of the
+string. The compile step (``_compile``) is the one place that states which
+rule wins, why the two steps agree with it, and why the boundaries keep the
+words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -29,6 +32,7 @@ through the loader that imported this module (``read_data``): installed,
 editable or zipped, the package needs no temporary file.
 """
 
+import itertools
 import os
 import re
 import threading
@@ -36,7 +40,14 @@ import unicodedata
 from enum import Enum
 from types import MappingProxyType
 
-from .alphabets import ARABIC_LETTERS, CANONICAL_APOSTROPHE, HAWAR_VOWELS, LATIN_RULE_CHARS
+from .alphabets import (
+    APOSTROPHES,
+    ARABIC_LETTERS,
+    CANONICAL_APOSTROPHE,
+    HAWAR_VOWELS,
+    KURDISH_LATIN_LETTERS,
+    LATIN_RULE_CHARS,
+)
 
 
 class RuleError(ValueError):
@@ -83,6 +94,11 @@ def _check_chars(text: str, allowed: frozenset, side: str, entry=None) -> None:
         raise IllegalCharacter(
             f"{ch!r} (U+{ord(ch):04X}) not allowed in {side}", entry=entry, char=ch, side=side
         )
+
+
+def _check_string(value, field: str, entry=None) -> None:
+    if not isinstance(value, str):
+        raise MalformedLine(f"{field} {value!r} is not a string", entry=entry)
 
 
 class _Value:
@@ -139,11 +155,13 @@ class Rule(_Value):
             context = Context(context)  # a member or its value ("any", "initial", ...)
         except ValueError:
             raise MalformedLine(f"unknown context {context!r}") from None
+        _check_string(pattern, "pattern")
         if not pattern:
             raise MalformedLine("empty pattern")
         if len(pattern) > 3:
             raise PatternTooLong(f"pattern {pattern!r} is longer than three characters")
         _check_chars(pattern, LATIN_RULE_CHARS, "pattern")
+        _check_string(output, "output")
         if len(output) > 3:
             raise OutputTooLong(f"output {output!r} is longer than three characters")
         _check_chars(output, ARABIC_LETTERS, "output")
@@ -161,9 +179,26 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-# Joins a batch's folded words; lower() maps U+00DE to U+00FE, and no character lowers
-# or composes to it. Regex classes compile 0.1 ms faster without one past U+00FF.
-_SEPARATOR = "\u00de"
+def _class_ranges(codes) -> str:
+    """Ascending code points below 256 as the body of a regex class: ranges in
+    hex escapes, with no brace for ``str.format`` and no character past Latin-1."""
+    ranges = []
+    for code in codes:
+        if ranges and ranges[-1][1] == code - 1:
+            ranges[-1][1] = code
+        else:
+            ranges.append([code, code])
+    return "".join(f"\\x{first:02x}-\\x{last:02x}" for first, last in ranges)
+
+
+# Word boundaries, as a class body: every ASCII character that is not a word
+# character. A batch of folded words is joined with "\n", one of them, and a
+# word list's text folded whole holds only these between its words; no folded
+# word holds one. The class stays in Latin-1: one past U+00FF costs 0.1 ms of
+# compile each time it appears.
+_GAP = _class_ranges(
+    code for code in range(128) if chr(code) not in KURDISH_LATIN_LETTERS | APOSTROPHES
+)
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
@@ -172,13 +207,15 @@ _SEPARATOR = "\u00de"
 # the same clear.
 _CACHE_LIMIT = 1 << 17
 # A batch whose first this many words are distinct and none in the memo is a
-# word list, rewritten without hashing its other words or filling the memo,
-# even if a later word repeats. Prose never starts such a batch: in the
-# benchmark's repeat-block and strict-lines texts (seeds 101 and 523) the
-# longest run of words with no repeat is 31-33 words, and api-short's sentences
-# have 2-9. Every 32 KB CLI batch of unique-words has 3,872 words or more;
-# filling the memo from them never gave a hit, and skipping the fill cut the
-# CLI's peak RSS on that input from 40.7 to 16.5 MB.
+# word list (RuleSet._is_word_list), rewritten without hashing its other words
+# or filling the memo, even if a later word repeats; the engine folds and
+# rewrites the text of one whole when it can (RuleSet._rewrite_text). Prose
+# never starts such a batch: in the benchmark's repeat-block and strict-lines
+# texts (seeds 101 and 523) the longest run of words with no repeat is 31-33
+# words, and api-short's sentences have 2-9. Every 32 KB CLI batch of
+# unique-words has 3,872 words or more; filling the memo from them never gave a
+# hit, and skipping the fill cut the CLI's peak RSS on that input from 40.7 to
+# 16.5 MB.
 _UNIQUE_BATCH = 512
 
 
@@ -188,11 +225,13 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     Precedence: at every position the longest pattern wins, then a rule whose
     context holds beats ``any``, then the earlier rule.
 
-    Both steps run over a batch of folded words joined by ``_SEPARATOR``. No
-    pattern, output or vowel holds the separator, so no match spans two words
-    and the outputs split apart again. Word-initial is "not after a character
-    other than the separator", word-final "not before one": on a lone word,
-    the start and the end of the string.
+    Both steps run over folded words with a boundary, a ``_GAP`` character,
+    between any two: a batch of words joined by newlines, or a word list's
+    text folded whole, its gaps in place. No pattern, output or vowel holds
+    a boundary, so no match spans two words, the outputs split apart again
+    and the gaps pass unchanged. Word-initial is "not after a character other
+    than a boundary", word-final "not before one": on a lone word, the start
+    and the end of the string.
 
     Step 1 is one regex alternation over every rule but the single-letter
     ``any`` ones, grouped by first letter (no two first letters match at one
@@ -201,7 +240,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     an empty group, so ``match.lastindex`` names the winner. ``re`` skips in C
     where no group's letter stands. A group of two or more ``initial`` or
     ``after_vowel`` rules has a guard, a lookbehind rejecting the letter after
-    anything but the separator or a vowel: a vowel after a consonant fails one
+    anything but a boundary or a vowel: a vowel after a consonant fails one
     check, not two. Past it, a rule with the pattern of an earlier rule needs
     no check: it is reached only where that rule, of the other context, fails.
 
@@ -227,9 +266,9 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     anywhere = Context.ANY  # a local: each read of a member off the Enum class costs 0.1 us
     checks = {
         anywhere: "",
-        Context.WORD_INITIAL: f"(?<![^{_SEPARATOR}]{{0}})",
+        Context.WORD_INITIAL: f"(?<![^{_GAP}]{{0}})",
         Context.AFTER_VOWEL: f"(?<=[{vowel_class}]{{0}})" if vowels else "(?!)",
-        Context.WORD_FINAL: f"(?![^{_SEPARATOR}])",
+        Context.WORD_FINAL: f"(?![^{_GAP}])",
     }
     letters, groups = {}, {}
     for order, rule in enumerate(rules):
@@ -247,12 +286,31 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
             check = "" if guarded and rule.pattern in seen else checks[rule.context]
             alternatives.append(rule.pattern[1:] + check.format(rule.pattern) + "()")
             seen.add(rule.pattern)
-        guard = f"(?<![^{_SEPARATOR}{vowel_class}]{first})" if guarded else ""
+        guard = f"(?<![^{_GAP}{vowel_class}]{first})" if guarded else ""
         body = "|".join(alternatives)
         branches.append(f"{first}{guard}(?:{body})" if len(group) > 1 else first + body)
     regex = re.compile("|".join(branches) or "(?!)")
     outputs = (None,) + tuple(rule.output for group in groups.values() for rule in group)
     return regex, outputs, letters
+
+
+def _exception_pattern(words):
+    """The exception words as one regex pattern over a word list's text folded
+    whole, or None unless they all begin with one letter.
+
+    Each word is its literal, then a boundary check on each side, as step 1
+    checks context: ``û(?<![^GAP]û)(?![^GAP])``. Longest first, though at most
+    one word can match at a position: a match is a whole folded word. ``re``
+    factors the one first letter out and skips to it in C. Words of two first
+    letters make it stop at every letter of a class instead, so such a table
+    keeps the word path (per MB of folded word list: ``û`` 1.7 ms, ``ku`` and
+    ``û`` 8.6 ms, 1,000 random words 3.8 s). A pattern string, which ``re``
+    compiles on first use: a run that meets no word list skips the compile.
+    """
+    if len({word[0] for word in words}) != 1:
+        return None
+    longest_first = sorted(words, key=len, reverse=True)
+    return "|".join(f"{w}(?<![^{_GAP}]{w})(?![^{_GAP}])" for w in longest_first)
 
 
 class RuleSet(_Value):
@@ -286,9 +344,11 @@ class RuleSet(_Value):
                 raise DuplicateRule(f"second rule for ({key[0]!r}, {key[1].value})", entry=index)
             seen.add(key)
         for word, output in exceptions.items():
+            _check_string(word, "exception word", entry=word)
             if not word:
                 raise MalformedLine("empty exception word", entry=word)
             _check_chars(word, LATIN_RULE_CHARS, "exception word", entry=word)
+            _check_string(output, "exception output", entry=word)
             _check_chars(output, ARABIC_LETTERS, "exception output", entry=word)
         self._set_fields(rules, exceptions, vowels, version)
         set_attribute = object.__setattr__
@@ -298,6 +358,10 @@ class RuleSet(_Value):
         set_attribute(self, "_letters", letters)
         set_attribute(self, "_maps_every_letter", LATIN_RULE_CHARS.issubset(letters))
         set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
+        pattern = _exception_pattern(exceptions)
+        set_attribute(self, "_exception_pattern", pattern)
+        # _rewrite_text serves this table: its exception words, if any, share a first letter.
+        set_attribute(self, "_rewrites_texts", pattern is not None or not exceptions)
         # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_line_cache", {})
@@ -307,9 +371,8 @@ class RuleSet(_Value):
         """(the output of each raw word, how many distinct words missed the memo).
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the first ``_UNIQUE_BATCH`` words of the batch are distinct and all
-        missed: then it is a word list, every word of which counts as a miss,
-        and memoizing them would cost memory and time for no hit.
+        the batch is a word list (``_is_word_list``): then every word counts
+        as a miss, and memoizing them would cost memory and time for no hit.
         """
         # The lock keeps one thread's clear from landing between another
         # thread's fill and its reads.
@@ -319,12 +382,9 @@ class RuleSet(_Value):
                 return list(map(cache.__getitem__, words)), 0
             except KeyError:
                 pass
-            missing = set(words[:_UNIQUE_BATCH])
-            # A keys view checks the smaller side; set.isdisjoint(dict) walks the whole memo.
-            if len(missing) == _UNIQUE_BATCH and cache.keys().isdisjoint(missing):
-                return self._rewrite(words), len(words)  # a word list: no word of it would hit
-            missing.update(words[_UNIQUE_BATCH:])
-            missing = missing.difference(cache)
+            if self._is_word_list(words):
+                return self._rewrite(words), len(words)  # no word of it would hit
+            missing = set(words).difference(cache)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
                 missing = set(words)
@@ -335,6 +395,25 @@ class RuleSet(_Value):
             # perfbench's tracer times as one pass per batch.
             cache.update(zip(missing, self._rewrite(missing)))
             return list(map(cache.__getitem__, words)), len(missing)
+
+    def _is_word_list(self, words) -> bool:
+        """Whether the words of a batch (an iterable) make a word list: its
+        first ``_UNIQUE_BATCH`` words are distinct and none is in the word memo.
+
+        No word past the first repeat or memo hit is read, so prose is told
+        from its first few dozen words. The caller holds the memo lock.
+        """
+        seen, cache = set(), self._word_cache
+        for word in itertools.islice(words, _UNIQUE_BATCH):
+            if word in seen or word in cache:
+                return False
+            seen.add(word)
+        return len(seen) == _UNIQUE_BATCH
+
+    def _starts_word_list(self, words) -> bool:
+        """``_is_word_list`` for a caller that does not hold the memo lock."""
+        with self._word_lock:
+            return self._is_word_list(words)
 
     def _line_outputs(self, lines: list):
         """The memoized rewrite of each line of text, or None if one is missing."""
@@ -361,22 +440,37 @@ class RuleSet(_Value):
     def _rewrite(self, words: list) -> list:
         """The output of each raw word of a batch, which travels as one string.
 
-        One ``fold_word`` pass over the words joined with newlines, one swap of
-        the newlines for the separator, one regex pass, one ``str.replace`` per
-        single-letter ``any`` rule, one split. No word holds a newline; NFC
-        never composes or reorders across one, and ``str.lower`` sees it as
-        neither cased nor case-ignorable, so it also bounds final sigma: each
-        line folds alone. An exception word is its own fold, and a rule output
-        depends only on the fold, so only a batch with an output in
-        ``_exception_outputs`` (theirs) can hold one.
+        One ``fold_word`` pass over the words joined with newlines, one regex
+        pass, one ``str.replace`` per single-letter ``any`` rule, one split.
+        No word holds a newline; NFC never composes or reorders across one,
+        and ``str.lower`` sees it as neither cased nor case-ignorable, so it
+        also bounds final sigma: each line folds alone. An exception word is
+        its own fold, and a rule output depends only on the fold, so only a
+        batch with an output in ``_exception_outputs`` (theirs) can hold one.
         """
         if not words:
             return []
-        folded = fold_word("\n".join(words)).replace("\n", _SEPARATOR)
-        outputs = self._apply(folded).split(_SEPARATOR)
+        folded = fold_word("\n".join(words))
+        outputs = self._apply(folded).split("\n")
         if self._exception_outputs.isdisjoint(outputs):
             return outputs
-        return list(map(self.exceptions.get, folded.split(_SEPARATOR), outputs))
+        return list(map(self.exceptions.get, folded.split("\n"), outputs))
+
+    def _rewrite_text(self, folded: str) -> str:
+        """``folded``, a text folded whole, with each word replaced by its output.
+
+        Only for a table with ``_rewrites_texts`` and a text whose words are
+        the maximal runs of word characters between ``_GAP`` characters: the
+        engine checks that every other character is one, and that every run
+        holds a letter. Exception words first (``_exception_pattern``), as
+        they win over the rules; their outputs are Arabic letters, which steps
+        1 and 2 leave alone, and a gap on each side still bounds the words
+        around them.
+        """
+        if self._exception_pattern is not None:
+            exceptions = self.exceptions
+            folded = re.sub(self._exception_pattern, lambda match: exceptions[match[0]], folded)
+        return self._apply(folded)
 
     def _apply(self, folded: str) -> str:
         """Steps 1 and 2 of ``_compile`` over folded text."""

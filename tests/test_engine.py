@@ -183,11 +183,13 @@ def test_word_strict_cache_interaction():
 
 
 def test_word_separator_like_characters_match_oracle(rs):
-    # The engine rewrites a batch of words joined by U+00DE; a newline, that
-    # letter or U+00FE (its lowercase) beside a word must not join two words'
-    # rule contexts, nor U+2126 or U+03A9 (its NFC form). A string holding
-    # one is not a word: transliterate_word refuses it, and as a text it
-    # matches the oracle.
+    # The engine rewrites a batch of words joined by newlines, and its rules
+    # take any ASCII character that is not a word character for a word
+    # boundary. A newline beside a word must not join two words' rule
+    # contexts, nor may U+00DE, U+00FE (its lowercase), U+2126 or U+03A9 (its
+    # NFC form), characters that are no boundary and were once the separator.
+    # A string holding one is not a word: transliterate_word refuses it, and
+    # as a text it matches the oracle.
     table = parse_rules(
         "a\tinitial\tئا\na\tafter_vowel\tع\na\tany\tا\nn\tfinal\tین\nn\tany\tن\n"
         "na\tfinal\tنە\n"
@@ -480,10 +482,14 @@ def test_fold_word_called_once_per_distinct_miss(monkeypatch):
     folded.clear()
     assert transliterate_word("Kurdistan", table, strict=True) == "کوردستان"
     assert folded == []
-    # A long text of distinct words, memoized or not, folds each word once.
-    words = _random_words(random.Random(29), 3000)
-    transliterate_text(" ".join(words), table)
-    assert sorted(folded) == words
+    # A long text of distinct words is a word list: folded once, as one text,
+    # it never reaches _rewrite.
+    texts = []
+    fold = engine.fold_word
+    monkeypatch.setattr(engine, "fold_word", lambda text: texts.append(text) or fold(text))
+    text = " ".join(_random_words(random.Random(29), 3000))
+    transliterate_text(text, table)
+    assert folded == [] and texts == [text]
 
 
 # ---------------------------------------------------------------- properties
@@ -975,6 +981,84 @@ def test_short_batches_of_distinct_words_fill_the_memo():
     text = _word_list(words)
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
     assert len(table._word_cache) == 4 + len(words)
+
+
+# A word list's text, once its words are told a list, is folded and rewritten
+# as one string when every character is ASCII or a word character, no run of
+# apostrophes stands alone, the table's exception words share a first letter
+# and no strict scan is needed; otherwise it takes the word path.
+
+_BUILT_IN_RULES = serialize_rules(default_rules())
+_WORD_LIST_TABLES = {
+    "built-in": _BUILT_IN_RULES,
+    "without q": _BUILT_IN_RULES.replace("q\tany\tق\n", ""),
+    "one first letter": _BUILT_IN_RULES.replace("û\tword\tو\n", "")
+    + "ba\tword\tق\nbaba\tword\t∅\nbû\tword\tو\n",
+    "two first letters": _BUILT_IN_RULES + "ba\tword\tق\n",
+}
+# Gaps between words, and one odd gap that sends the text down the word path.
+_LIST_GAPS = [" ", " ", " ", ", ", ". ", "\n", "\r\n", " 1984 ", "_", "-", "; ", "? ", "!"]
+_LIST_GAPS += [" (", ") ", '"', "#", "{", "}", "/", "@", "~", "`", "[", "]", "\\", "|", "<", "="]
+_LIST_GAPS += ["*", "%", "&", "^"]
+_ODD_GAPS = [" ' ", " ’ʼ ", "\n''.", " « ", " İ ", " \u0302 ", "²", "\u00ad"]
+
+
+def _varied_word_list(rng, odd: str | None, exceptions: list) -> str:
+    """Over 512 distinct words in upper, title and lower case, some in NFD and
+    some with an apostrophe glyph leading, inside or trailing, the exception
+    words placed after word 512, and the gaps above; with ``odd`` as one gap."""
+    words = _random_words(rng, 700)
+    rng.shuffle(words)
+    for index, word in enumerate(words):
+        roll = rng.random()
+        if roll < 0.1:
+            word = word.upper()
+        elif roll < 0.2:
+            word = word.title()
+        if rng.random() < 0.15:
+            at = rng.choice([0, 1, len(word)])
+            word = word[:at] + rng.choice(sorted(APOSTROPHES)) + word[at:]
+        if rng.random() < 0.05:
+            word = unicodedata.normalize("NFD", word)
+        words[index] = word
+    for word in exceptions:
+        words.insert(rng.randint(rules._UNIQUE_BATCH + 1, len(words)), word)
+    gaps = [rng.choice(_LIST_GAPS) for _ in words]
+    if odd is not None:
+        gaps[rng.randrange(len(gaps))] = odd
+    return "".join(word + gap for word, gap in zip(words, gaps))
+
+
+@pytest.mark.parametrize("odd", [None, *_ODD_GAPS])
+@pytest.mark.parametrize("name", sorted(_WORD_LIST_TABLES))
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32))
+def test_word_list_folded_whole_matches_oracle(name, odd, seed):
+    source = _WORD_LIST_TABLES[name]
+    exceptions = ["ba", "baba", "bû", "û", "Û", "BA", "Baba"]
+    text = _varied_word_list(random.Random(seed), odd, exceptions)
+    assert len(text) >= engine._LONG_TEXT
+    calls = []
+    rewrite = RuleSet._rewrite
+
+    def counting_rewrite(self, words):
+        calls.append(len(words))
+        return rewrite(self, words)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RuleSet, "_rewrite", counting_rewrite)
+        for strict in (False, True):
+            table = parse_rules(source)
+            calls.clear()
+            expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
+            assert outcome(transliterate_text, text, table, strict=strict) == expected
+            whole = (
+                odd is None
+                and name != "two first letters"
+                and not (strict and name == "without q")
+            )
+            assert (calls == []) == whole, (strict, calls)
+            assert table._word_cache == {} and table._line_cache == {}
 
 
 # ------------------------------------------------------------- strict skip

@@ -203,6 +203,23 @@ def test_ruleset_exceptions_are_read_only():
     assert transliterate_word("mn", table) == transliterate_word("Mn", table) == "من"
 
 
+@pytest.mark.parametrize(
+    "build, arguments, message",
+    [
+        (Rule, ("b", "any", None), "output None is not a string"),
+        (Rule, (5, "any", "ب"), "pattern 5 is not a string"),
+        (Rule, ("b", "any", 5), "output 5 is not a string"),
+        (RuleSet, ((), {5: "ب"}), "exception word 5 is not a string"),
+        (RuleSet, ((), {"b": None}), "exception output None is not a string"),
+        (RuleSet, ((), {"b": 5}), "exception output 5 is not a string"),
+    ],
+)
+def test_non_string_field_raises_malformed_line(build, arguments, message):
+    with pytest.raises(MalformedLine) as exc_info:
+        build(*arguments)
+    assert exc_info.value.args == (message,)
+
+
 def test_ruleset_rejects_empty_exception_word():
     with pytest.raises(MalformedLine):
         RuleSet((), {"": "ب"})
