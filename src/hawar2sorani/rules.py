@@ -5,9 +5,10 @@ output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
 and keeps the engine's second memo, of lines as given to their NFC form
 with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
-share one lock and one size limit. A batch whose first 512 words are distinct
-and none in the word memo, such as a word list, is rewritten without filling
-either memo: its words would only push out words that do repeat.
+share one size limit and one lock, which a fill or a clear takes, never a
+read. A batch whose first 512 words are distinct and none in the word memo,
+such as a word list, is rewritten without filling either memo: its words
+would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word holds),
 then one regular expression replaces every match of a longer or context rule,
@@ -316,10 +317,10 @@ def _exception_pattern(words):
 class RuleSet(_Value):
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
-    Immutable but for two private memos behind one lock: words to their
-    outputs (``_outputs``), and lines as given to their NFC form with the
-    words rewritten (``_line_outputs``, ``_keep_lines``); safe to share
-    across threads. Construction validates the table as a whole and
+    Immutable but for two private memos, which only a fill or a clear locks:
+    words to their outputs (``_outputs``), and lines as given to their NFC
+    form with the words rewritten (``_line_outputs``, ``_keep_lines``); safe
+    to share across threads. Construction validates the table as a whole and
     compiles it (see ``_compile`` for the precedence policy).
     """
 
@@ -367,23 +368,22 @@ class RuleSet(_Value):
         set_attribute(self, "_line_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
-    def _outputs(self, words: list) -> tuple:
+    def _outputs(self, words: list, word_list=None) -> tuple:
         """(the output of each raw word, how many distinct words missed the memo).
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the batch is a word list (``_is_word_list``): then every word counts
-        as a miss, and memoizing them would cost memory and time for no hit.
+        the batch is a word list (``word_list`` if given, else ``_is_word_list``):
+        its words all count as misses and are not memoized, as none would hit.
         """
-        # The lock keeps one thread's clear from landing between another
-        # thread's fill and its reads.
+        try:  # every word a hit: no Python code runs per word
+            return list(map(self._word_cache.__getitem__, words)), 0
+        except KeyError:  # a miss, or a read that raced another thread's clear
+            pass
+        if word_list or word_list is None and self._is_word_list(words):
+            return self._rewrite(words), len(words)  # no word of it would hit
+        # Under the lock no other thread's clear lands between this fill and its reads.
         with self._word_lock:
             cache = self._word_cache
-            try:  # every word a hit: no Python code runs per word
-                return list(map(cache.__getitem__, words)), 0
-            except KeyError:
-                pass
-            if self._is_word_list(words):
-                return self._rewrite(words), len(words)  # no word of it would hit
             missing = set(words).difference(cache)
             if len(cache) + len(missing) > _CACHE_LIMIT:
                 cache.clear()
@@ -401,7 +401,7 @@ class RuleSet(_Value):
         first ``_UNIQUE_BATCH`` words are distinct and none is in the word memo.
 
         No word past the first repeat or memo hit is read, so prose is told
-        from its first few dozen words. The caller holds the memo lock.
+        from its first few dozen words. No lock: a racing clear changes no output.
         """
         seen, cache = set(), self._word_cache
         for word in itertools.islice(words, _UNIQUE_BATCH):
@@ -410,18 +410,12 @@ class RuleSet(_Value):
             seen.add(word)
         return len(seen) == _UNIQUE_BATCH
 
-    def _starts_word_list(self, words) -> bool:
-        """``_is_word_list`` for a caller that does not hold the memo lock."""
-        with self._word_lock:
-            return self._is_word_list(words)
-
     def _line_outputs(self, lines: list):
         """The memoized rewrite of each line of text, or None if one is missing."""
-        with self._word_lock:
-            try:
-                return list(map(self._line_cache.__getitem__, lines))
-            except KeyError:
-                return None
+        try:
+            return list(map(self._line_cache.__getitem__, lines))
+        except KeyError:
+            return None
 
     def _keep_lines(self, rewrites: dict) -> None:
         """Memoize lines as given (keys) with the words of their NFC forms rewritten (values).

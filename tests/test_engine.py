@@ -4,6 +4,7 @@ import multiprocessing
 import pickle
 import random
 import sys
+import threading
 import types
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -626,6 +627,46 @@ def test_threads_sharing_a_clearing_cache(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+class _CountedLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self.lock, self.taken = threading.Lock(), 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def test_memo_reads_take_no_lock(monkeypatch):
+    # Only a fill or a clear of a memo takes the lock: a warm short sentence,
+    # a warm word and a warm long text joined from the line memo take it 0 times.
+    table = default_rules()
+    lock = _CountedLock()
+    object.__setattr__(table, "_word_lock", lock)
+    sentence, word = "Min û tu diçin.", "Se’îd"
+    long = _long("Çiya bilind in,\nmin û tu diçin.")
+    expected = [naive_transliterate_text(text, table, EngineConfig()) for text in (sentence, long)]
+    assert transliterate_text(sentence, table) == expected[0]
+    transliterate_word(word, table)
+    assert transliterate_text(long, table) == expected[1]
+    assert lock.taken > 0 and table._line_cache
+    lock.taken = 0
+    word_path = _word_path_texts(monkeypatch)
+    for _ in range(3):
+        assert transliterate_text(sentence, table) == expected[0]
+        assert transliterate_word(word, table) == "سەعید"
+        assert transliterate_text(long, table) == expected[1]
+    assert lock.taken == 0
+    assert word_path == [sentence] * 3  # the long text was joined from the line memo
+    missing = "Min û tu nan."
+    assert transliterate_text(missing, table) == naive_transliterate_text(missing, table, EngineConfig())
+    assert lock.taken == 1
+
+
 # -------------------------------------------------------------- line memo
 # A text of engine._LONG_TEXT characters or more whose every line is in the
 # RuleSet's line memo is joined from it.
@@ -650,9 +691,9 @@ def _word_path_texts(monkeypatch):
     texts = []
     rewrite_words = engine._rewrite_words
 
-    def recording_rewrite_words(text, rs, strict):
+    def recording_rewrite_words(text, *args):
         texts.append(text)
-        return rewrite_words(text, rs, strict)
+        return rewrite_words(text, *args)
 
     monkeypatch.setattr(engine, "_rewrite_words", recording_rewrite_words)
     return texts
@@ -1038,20 +1079,28 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
     exceptions = ["ba", "baba", "bû", "û", "Û", "BA", "Baba"]
     text = _varied_word_list(random.Random(seed), odd, exceptions)
     assert len(text) >= engine._LONG_TEXT
-    calls = []
-    rewrite = RuleSet._rewrite
+    calls, verdicts = [], []
+    rewrite, is_word_list = RuleSet._rewrite, RuleSet._is_word_list
 
     def counting_rewrite(self, words):
         calls.append(len(words))
         return rewrite(self, words)
 
+    def counting_is_word_list(self, words):
+        verdicts.append(is_word_list(self, words))
+        return verdicts[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RuleSet, "_rewrite", counting_rewrite)
+        patch.setattr(RuleSet, "_is_word_list", counting_is_word_list)
         for strict in (False, True):
             table = parse_rules(source)
             calls.clear()
+            verdicts.clear()
             expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
             assert outcome(transliterate_text, text, table, strict=strict) == expected
+            # Told a word list once, whichever path the text then takes.
+            assert verdicts == [True]
             whole = (
                 odd is None
                 and name != "two first letters"

@@ -5,6 +5,8 @@ least one letter; everything between words is a gap that only gets the
 symbol mapping. These tests split text with the engine's own word pattern.
 """
 
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -144,3 +146,41 @@ def test_token_purity(text):
                 assert piece[0] not in APOSTROPHES
             if i + 1 < len(pieces):
                 assert piece[-1] not in APOSTROPHES
+
+
+# The word contract against a plain-Python oracle, on texts that mix both-case
+# letters, runs of the three apostrophes and gaps that sit next to them in
+# real text: combining marks, ZWNJ, the soft hyphen and Arabic letters.
+_GAPS = [" ", "\n", ".", "7", "\u0302", "\u0327", "\u200c", "\u00ad", "م", "ە"]
+contract_texts = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(KURDISH_LATIN_LETTERS)),
+        st.text(st.sampled_from(sorted(APOSTROPHES)), min_size=1, max_size=4),
+        st.sampled_from(_GAPS),
+    ),
+    max_size=40,
+).map("".join)
+
+
+def oracle_split(text):
+    """``text`` as ``re.split`` by a word pattern gives it: the gaps at even
+    indices, the words at odd ones. A word is a maximal run of letters and
+    apostrophes that holds a letter; everything else is gap."""
+    pieces = [""]
+    word_chars = KURDISH_LATIN_LETTERS | APOSTROPHES
+    for is_word_char, run in itertools.groupby(text, word_chars.__contains__):
+        run = "".join(run)
+        if is_word_char and not KURDISH_LATIN_LETTERS.isdisjoint(run):
+            pieces += [run, ""]
+        else:
+            pieces[-1] += run
+    return pieces
+
+
+@given(contract_texts)
+def test_word_pattern_keeps_the_word_contract(text):
+    pieces = oracle_split(text)
+    assert _WORD.split(text) == pieces
+    starts = list(itertools.accumulate(map(len, pieces)))[::2]
+    spans = [(start, start + len(word)) for start, word in zip(starts, pieces[1::2])]
+    assert [match.span() for match in _WORD.finditer(text)] == spans
