@@ -1,26 +1,26 @@
 """Transliteration engine: the text around the words.
 
-A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter. The word path splits a text into words and the gaps between
+A word is a maximal run of word characters (``alphabets.WORD_CHARS``) that
+holds a letter. The word path splits a text into words and the gaps between
 them; the RuleSet gives every word's output in one call (it folds, memoizes
 and rewrites words; see rules.py), and the pieces are joined again. A long
 text whose every line is in the RuleSet's line memo is joined from it
-instead, and a long word list whose gaps are all ASCII is folded and
-rewritten as one string (see ``_rewrite_long``). Every character outside a
-word gets the configured punctuation and digit mapping or passes through.
-The engine also places strict-mode errors, marks line-final full stops and
-returns NFC. No rule context crosses a word boundary and words never cross
-lines, so line-by-line processing gives byte-identical output to whole-text
-processing. A long text is normalized line by line, and only where the line
-memo misses, with the same result as whole-text NFC.
+instead, and a long word list may be folded and rewritten as one string (see
+``_rewrite_long``). Every character outside a word gets the configured
+punctuation and digit mapping or passes through. The engine also places
+strict-mode errors, marks line-final full stops and returns NFC. No rule
+context crosses a word boundary and words never cross lines, so line-by-line
+processing gives byte-identical output to whole-text processing. A long text
+is normalized line by line, and only where the line memo misses, with the
+same result as whole-text NFC.
 """
 
 import re
 import unicodedata
 from enum import Enum
 
-from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS
-from .rules import _GAP, RuleSet, _Value, fold_word
+from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS, WORD_CHARS, char_class
+from .rules import RuleSet, _Value
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -91,8 +91,8 @@ class UnmatchedCharacter(ValueError):
 def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     """Rewrite one word. Characters without a rule pass through.
 
-    A word is a non-empty string whose NFC form holds only Kurdish Latin
-    letters and apostrophes; anything else raises ValueError. With
+    A word is a non-empty string whose NFC form holds only word characters
+    (``alphabets.WORD_CHARS``); anything else raises ValueError. With
     ``strict`` a pass-through character raises UnmatchedCharacter instead.
 
     >>> from hawar2sorani import default_rules
@@ -105,7 +105,7 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     Traceback (most recent call last):
     ValueError: not one word: 'min û'
     """
-    if not word or not _WORD_CHARS.issuperset(unicodedata.normalize("NFC", word)):
+    if not word or not WORD_CHARS.issuperset(unicodedata.normalize("NFC", word)):
         raise ValueError(f"not one word: {word!r}")
     (output,), _ = rs._outputs([word])
     if strict and re.search(_NOT_ARABIC, output):
@@ -123,15 +123,16 @@ def map_symbols(text: str, cfg: EngineConfig) -> str:
     return text
 
 
-_WORD_CHARS = KURDISH_LATIN_LETTERS | APOSTROPHES
-_LETTERS = re.escape("".join(sorted(KURDISH_LATIN_LETTERS)))
-_APOSTROPHES = re.escape("".join(sorted(APOSTROPHES)))
 # A word opens with a letter, or with apostrophes a letter follows. A class, not
 # [A]*, opens it, so re skips gaps in C; a lookbehind per apostrophe, not a letter
 # class (0.1 ms more to compile), tells a letter. Its group makes split() keep words.
 _WORD = re.compile(
-    f"([{_LETTERS}{_APOSTROPHES}](?:{''.join(f'(?<!{a})' for a in sorted(APOSTROPHES))}"
-    f"|(?=[{_APOSTROPHES}]*[{_LETTERS}]))[{_LETTERS}{_APOSTROPHES}]*)"
+    "({word}(?:{not_apostrophe}|(?=[{apostrophes}]*[{letters}])){word}*)".format(
+        word=f"[{char_class(WORD_CHARS)}]",
+        not_apostrophe="".join(f"(?<!{a})" for a in sorted(APOSTROPHES)),
+        apostrophes=char_class(APOSTROPHES),
+        letters=char_class(KURDISH_LATIN_LETTERS),
+    )
 )
 # A full stop ending a line would render on the wrong side in an LTR-defaulted
 # editor; the mark pins it. \r from CRLF input stays after the mark.
@@ -142,18 +143,7 @@ _STOP_WITH_RLM = "." + RLM
 # no rule matched it; strict mode looks for one. A word folds to
 # LATIN_RULE_CHARS alone, so a table with a single-letter any rule for each
 # (RuleSet._maps_every_letter) needs no scan; wider word characters must recheck.
-_NOT_ARABIC = f"[^{re.escape(''.join(sorted(ARABIC_LETTERS)))}]"  # re compiles it on first use
-
-
-# A word list's text is folded and rewritten whole (RuleSet._rewrite_text)
-# only where that gives what the words would. Every character must be ASCII or
-# a word character: then each gap is ASCII, the fold leaves it as it is, and
-# the words are the runs between gaps (about 6 ms per MB). No run may be
-# apostrophes alone, which is a gap, not a word (about 1 ms per MB, on the fold).
-# Pattern strings: re compiles each on first use and caches it, so a run that
-# meets no word list skips their 0.4 ms of compile.
-_NOT_ASCII_OR_WORD = f"[^\\x00-\\x7f{_LETTERS}{_APOSTROPHES}]"
-_APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
+_NOT_ARABIC = f"[^{char_class(ARABIC_LETTERS)}]"  # re compiles it on first use
 
 
 # Shorter texts take the word path alone: filling the memo from api-short's
@@ -201,12 +191,11 @@ def _rewrite_words(text: str, rs: RuleSet, strict: bool, word_list=None) -> tupl
 def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
     """``text`` with each word replaced by its output: joined from the line
     memo when it holds every line as given (its keys), else normalized line
-    by line. A word list (``RuleSet._is_word_list``) is then folded and
-    rewritten as one string, with no split into words, when the table allows
-    it (``RuleSet._rewrites_texts``), no strict scan of the outputs is needed
-    and the text passes ``_NOT_ASCII_OR_WORD`` and ``_APOSTROPHES_ALONE``.
-    Any other text goes through the word path, which may fill the memo.
-    Neither memo is filled from a word list.
+    by line. A word list (``RuleSet._is_word_list``) that needs no strict scan
+    of its outputs is then folded and rewritten as one string, with no split
+    into words, where ``RuleSet._rewrite_text`` can. Any other text goes
+    through the word path, which may fill the memo. Neither memo is filled
+    from a word list.
 
     A newline is a starter that composes with nothing, so the NFC lines join
     to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
@@ -222,15 +211,10 @@ def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
         return "\n".join(rewrites)
     text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
     word_list = rs._is_word_list(match[0] for match in _WORD.finditer(text))
-    if (
-        word_list
-        and rs._rewrites_texts
-        and (rs._maps_every_letter or not strict)
-        and not re.search(_NOT_ASCII_OR_WORD, text)
-    ):
-        folded = fold_word(text)
-        if not re.search(_APOSTROPHES_ALONE, folded):
-            return rs._rewrite_text(folded)
+    if word_list and (rs._maps_every_letter or not strict):
+        rewritten = rs._rewrite_text(text)
+        if rewritten is not None:
+            return rewritten
     rewritten, outputs, misses = _rewrite_words(text, rs, strict, word_list)
     if misses <= len(outputs) * _WORD_MISS_SHARE and (
         rs._maps_every_letter or not re.search(_NOT_ARABIC, "".join(outputs))

@@ -14,12 +14,11 @@ The words of a batch that miss travel as one string: folded in one pass
 then one regular expression replaces every match of a longer or context rule,
 left to right, and one ``str.replace`` per single-letter ``any`` rule maps
 each letter left over. Splitting on the newlines gives each word's output.
-The engine can also give a word list's text folded whole (``_rewrite_text``),
-its gaps left in place. A word starts and ends at a word boundary, an ASCII
-character that is not a word character (``_GAP``), or at an end of the
-string. The compile step (``_compile``) is the one place that states which
-rule wins, why the two steps agree with it, and why the boundaries keep the
-words apart.
+A word list's text can also be folded and rewritten whole (``_rewrite_text``),
+its gaps left in place. A word starts and ends at a word boundary (``_GAP``)
+or at an end of the string. The compile step (``_compile``) is the one place
+that states which rule wins, why the two steps agree with it, and why the
+boundaries keep the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -42,12 +41,12 @@ from enum import Enum
 from types import MappingProxyType
 
 from .alphabets import (
-    APOSTROPHES,
     ARABIC_LETTERS,
     CANONICAL_APOSTROPHE,
     HAWAR_VOWELS,
-    KURDISH_LATIN_LETTERS,
     LATIN_RULE_CHARS,
+    WORD_CHARS,
+    char_class,
 )
 
 
@@ -180,26 +179,19 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
-def _class_ranges(codes) -> str:
-    """Ascending code points below 256 as the body of a regex class: ranges in
-    hex escapes, with no brace for ``str.format`` and no character past Latin-1."""
-    ranges = []
-    for code in codes:
-        if ranges and ranges[-1][1] == code - 1:
-            ranges[-1][1] = code
-        else:
-            ranges.append([code, code])
-    return "".join(f"\\x{first:02x}-\\x{last:02x}" for first, last in ranges)
-
-
 # Word boundaries, as a class body: every ASCII character that is not a word
-# character. A batch of folded words is joined with "\n", one of them, and a
-# word list's text folded whole holds only these between its words; no folded
-# word holds one. The class stays in Latin-1: one past U+00FF costs 0.1 ms of
-# compile each time it appears.
-_GAP = _class_ranges(
-    code for code in range(128) if chr(code) not in KURDISH_LATIN_LETTERS | APOSTROPHES
-)
+# character. A batch of folded words is joined with "\n", one of them; no folded
+# word holds one. Step 1 puts the class in its initial and final checks and its
+# guards, and like every class of step 1 it stays in Latin-1: a class past U+00FF
+# costs about 0.1 ms more compile each time it appears. So a word list's text is folded and
+# rewritten whole (_rewrite_text) only where every gap is made of these. Its gates
+# refuse a character that is neither ASCII nor a word character (about 6 ms per
+# MB), and a run of apostrophes alone, which is a gap (about 1 ms per MB, on the
+# fold). Pattern strings: re compiles each on first use, so a run that meets no
+# word list skips their 0.4 ms of compile.
+_GAP = char_class(char for char in map(chr, range(128)) if char not in WORD_CHARS)
+_NOT_ASCII_OR_WORD = f"[^{char_class(WORD_CHARS.union(map(chr, range(128))))}]"
+_APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
 # skip case folding too; real text repeats words heavily. The limit is checked
@@ -359,10 +351,7 @@ class RuleSet(_Value):
         set_attribute(self, "_letters", letters)
         set_attribute(self, "_maps_every_letter", LATIN_RULE_CHARS.issubset(letters))
         set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
-        pattern = _exception_pattern(exceptions)
-        set_attribute(self, "_exception_pattern", pattern)
-        # _rewrite_text serves this table: its exception words, if any, share a first letter.
-        set_attribute(self, "_rewrites_texts", pattern is not None or not exceptions)
+        set_attribute(self, "_exception_pattern", _exception_pattern(exceptions))
         # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_line_cache", {})
@@ -450,20 +439,26 @@ class RuleSet(_Value):
             return outputs
         return list(map(self.exceptions.get, folded.split("\n"), outputs))
 
-    def _rewrite_text(self, folded: str) -> str:
-        """``folded``, a text folded whole, with each word replaced by its output.
+    def _rewrite_text(self, text: str):
+        """``text``, a word list in NFC, folded whole with each word replaced
+        by its output; or None where the table's exception words do not all
+        begin with one letter (``_exception_pattern``) or the text fails the
+        gates at ``_GAP``.
 
-        Only for a table with ``_rewrites_texts`` and a text whose words are
-        the maximal runs of word characters between ``_GAP`` characters: the
-        engine checks that every other character is one, and that every run
-        holds a letter. Exception words first (``_exception_pattern``), as
-        they win over the rules; their outputs are Arabic letters, which steps
-        1 and 2 leave alone, and a gap on each side still bounds the words
-        around them.
+        Past the gates, every gap is made of ``_GAP`` characters, which the
+        fold leaves as they are, so the words are the runs between them.
+        Exception words first, as they win over the rules; their outputs are
+        Arabic letters, which steps 1 and 2 leave alone, and a gap on each
+        side still bounds the words around them.
         """
-        if self._exception_pattern is not None:
-            exceptions = self.exceptions
-            folded = re.sub(self._exception_pattern, lambda match: exceptions[match[0]], folded)
+        exceptions, pattern = self.exceptions, self._exception_pattern
+        if pattern is None and exceptions or re.search(_NOT_ASCII_OR_WORD, text):
+            return None
+        folded = fold_word(text)
+        if re.search(_APOSTROPHES_ALONE, folded):
+            return None
+        if pattern is not None:
+            folded = re.sub(pattern, lambda match: exceptions[match[0]], folded)
         return self._apply(folded)
 
     def _apply(self, folded: str) -> str:

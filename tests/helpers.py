@@ -1,9 +1,10 @@
 """Shared test oracles: naive, unoptimized reimplementations of the match
 policy and of word grouping, used to cross-check the engine's fast path."""
 
+import itertools
 import unicodedata
 
-from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS
+from hawar2sorani.alphabets import KURDISH_LATIN_LETTERS, WORD_CHARS
 from hawar2sorani.engine import RLM, DigitMode, PunctMode, UnmatchedCharacter
 from hawar2sorani.rules import Context, RuleSet
 
@@ -34,6 +35,20 @@ def naive_map_symbols(text: str, cfg) -> str:
             ch = table.get(ch, ch)
         out.append(ch)
     return "".join(out)
+
+
+def split_words(text: str) -> list:
+    """``text`` as ``re.split`` by a word pattern gives it: the gaps at even
+    indices, the words at odd ones. A word is a maximal run of word
+    characters that holds a letter; everything else is gap."""
+    pieces = [""]
+    for is_word_char, run in itertools.groupby(text, WORD_CHARS.__contains__):
+        run = "".join(run)
+        if is_word_char and not KURDISH_LATIN_LETTERS.isdisjoint(run):
+            pieces += [run, ""]
+        else:
+            pieces[-1] += run
+    return pieces
 
 
 def outcome(fn, *args, **kwargs):
@@ -98,30 +113,24 @@ def naive_transliterate_word(word: str, rs: RuleSet) -> str:
 
 
 def naive_transliterate_text(text: str, rs: RuleSet, cfg, strict: bool = False) -> str:
-    """Reference for transliterate_text. Walks each NFC line one character at
-    a time, grouping maximal runs of letters and apostrophes; a run holding a
-    letter is a word, every other character gets naive_map_symbols. The result
-    is NFC: a word's output can compose with a combining mark after it."""
+    """Reference for transliterate_text. Splits each NFC line into words and
+    gaps (split_words); each word goes through naive_parse, each gap through
+    naive_map_symbols. The result is NFC: a word's output can compose with a
+    combining mark after it."""
     lines = []
     for lineno, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
-        pieces = []
-        run = ""
-        for column, ch in enumerate(line + "\n", start=1):  # the "\n" ends the last run
-            if ch in KURDISH_LATIN_LETTERS or ch in APOSTROPHES:
-                run += ch
-                continue
-            if any(c in KURDISH_LATIN_LETTERS for c in run):
-                word = naive_fold(run)
-                out, unmatched = naive_parse(word, rs)
-                if strict and unmatched >= 0:
-                    where = column - len(run) + unmatched
-                    raise UnmatchedCharacter(word[unmatched], unmatched, lineno, where)
-                pieces.append(out)
-            else:
-                pieces.append(naive_map_symbols(run, cfg))
-            pieces.append(naive_map_symbols(ch, cfg))
-            run = ""
-        out = "".join(pieces)[:-1]
+        pieces = split_words(line)
+        outputs = []
+        for index in range(1, len(pieces), 2):
+            word = naive_fold(pieces[index])
+            out, unmatched = naive_parse(word, rs)
+            if strict and unmatched >= 0:
+                column = len("".join(pieces[:index])) + unmatched + 1
+                raise UnmatchedCharacter(word[unmatched], unmatched, lineno, column)
+            outputs.append(out)
+        pieces[::2] = [naive_map_symbols(gap, cfg) for gap in pieces[::2]]
+        pieces[1::2] = outputs
+        out = "".join(pieces)
         body = out.rstrip("\r")
         if cfg.emit_rlm and body.endswith("."):
             out = body + RLM + out[len(body):]

@@ -3,6 +3,7 @@ import itertools
 import multiprocessing
 import pickle
 import random
+import re
 import sys
 import threading
 import types
@@ -10,11 +11,11 @@ import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hawar2sorani import cli, engine, rules, transliterate
-from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS
+from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, LATIN_RULE_CHARS, WORD_CHARS
 from hawar2sorani.engine import (
     RLM,
     DigitMode,
@@ -40,6 +41,7 @@ from helpers import (
     naive_transliterate_text,
     naive_transliterate_word,
     outcome,
+    split_words,
 )
 
 
@@ -143,7 +145,7 @@ def test_word_strict_finds_what_the_output_hides(rs, word, char, offset):
     # ``offset`` of the string's NFC form, is no word character, so
     # transliterate_word refuses each, strict or not.
     nfc = unicodedata.normalize("NFC", word)
-    assert nfc[offset] == char and char not in engine._WORD_CHARS
+    assert nfc[offset] == char and char not in WORD_CHARS
     for strict in (False, True):
         with pytest.raises(ValueError) as exc_info:
             transliterate_word(word, rs, strict=strict)
@@ -486,8 +488,7 @@ def test_fold_word_called_once_per_distinct_miss(monkeypatch):
     # A long text of distinct words is a word list: folded once, as one text,
     # it never reaches _rewrite.
     texts = []
-    fold = engine.fold_word
-    monkeypatch.setattr(engine, "fold_word", lambda text: texts.append(text) or fold(text))
+    monkeypatch.setattr(rules, "fold_word", lambda text: texts.append(text) or fold_word(text))
     text = " ".join(_random_words(random.Random(29), 3000))
     transliterate_text(text, table)
     assert folded == [] and texts == [text]
@@ -568,7 +569,8 @@ def test_word_contract(word):
     transliterate_text(_long("min û tu"), table)  # fills both memos
     memos = dict(table._word_cache), dict(table._line_cache)
     nfc = unicodedata.normalize("NFC", word)
-    is_word = bool(word) and all(c in KURDISH_LATIN_LETTERS or c in APOSTROPHES for c in nfc)
+    # With a letter after it, a string of word characters alone is one word.
+    is_word = bool(word) and split_words(nfc + "a") == ["", nfc + "a", ""]
     for strict in (False, True):
         if is_word:
             got = transliterate_word(word, table, strict=strict)
@@ -1072,7 +1074,9 @@ def _varied_word_list(rng, odd: str | None, exceptions: list) -> str:
 
 @pytest.mark.parametrize("odd", [None, *_ODD_GAPS])
 @pytest.mark.parametrize("name", sorted(_WORD_LIST_TABLES))
-@settings(max_examples=2, deadline=None)
+# No shrink phase: each example builds a 700-word list under a fresh table, so
+# shrinking the seeds of a failing case took minutes.
+@settings(max_examples=2, deadline=None, phases=set(Phase) - {Phase.shrink})
 @given(st.integers(0, 2**32))
 def test_word_list_folded_whole_matches_oracle(name, odd, seed):
     source = _WORD_LIST_TABLES[name]
@@ -1130,6 +1134,17 @@ def test_every_one_letter_word_folds_to_rule_letters():
     assert len(words) == 2 * len(KURDISH_LATIN_LETTERS) + len(APOSTROPHES)
     for word in words:
         assert LATIN_RULE_CHARS.issuperset(fold_word(word)), word
+    # The word list's gates and step 1's word boundary follow the word
+    # characters too: a gap character is ASCII and no word character, and the
+    # gate refuses every character that is neither ASCII nor a word character.
+    gap, not_ascii_or_word = re.compile(f"[{rules._GAP}]"), re.compile(rules._NOT_ASCII_OR_WORD)
+    chars = [chr(i) for i in code_points]
+    assert [c for c in chars if gap.fullmatch(c)] == [
+        c for c in chars if c.isascii() and c not in WORD_CHARS
+    ]
+    assert [c for c in chars if not_ascii_or_word.fullmatch(c)] == [
+        c for c in chars if not c.isascii() and c not in WORD_CHARS
+    ]
 
 
 def test_only_a_table_mapping_every_letter_skips_the_strict_scan():

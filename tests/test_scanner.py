@@ -1,8 +1,8 @@
 """Word boundaries: which characters the engine groups into one word.
 
-A word is a maximal run of Kurdish Latin letters and apostrophes holding at
-least one letter; everything between words is a gap that only gets the
-symbol mapping. These tests split text with the engine's own word pattern.
+A word is a maximal run of word characters that holds a letter; everything
+between words is a gap that only gets the symbol mapping. These tests split
+text with the engine's own word pattern and hold it to ``helpers.split_words``.
 """
 
 import itertools
@@ -10,8 +10,9 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS
+from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, WORD_CHARS
 from hawar2sorani.engine import _WORD
+from helpers import split_words
 
 WORD, GAP = "word", "gap"
 
@@ -134,9 +135,11 @@ def test_stability_property(text):
 @given(texts)
 def test_token_purity(text):
     pieces = split(text)
+    oracle = [(WORD if i % 2 else GAP, piece) for i, piece in enumerate(split_words(text))]
+    assert pieces == [(kind, piece) for kind, piece in oracle if piece]
     for i, (kind, piece) in enumerate(pieces):
         if kind == WORD:
-            assert all(c in KURDISH_LATIN_LETTERS or c in APOSTROPHES for c in piece)
+            assert WORD_CHARS.issuperset(piece)
             assert any(c in KURDISH_LATIN_LETTERS for c in piece)
         else:
             assert not any(c in KURDISH_LATIN_LETTERS for c in piece)
@@ -148,7 +151,7 @@ def test_token_purity(text):
                 assert piece[-1] not in APOSTROPHES
 
 
-# The word contract against a plain-Python oracle, on texts that mix both-case
+# The word contract against the plain-Python split, on texts that mix both-case
 # letters, runs of the three apostrophes and gaps that sit next to them in
 # real text: combining marks, ZWNJ, the soft hyphen and Arabic letters.
 _GAPS = [" ", "\n", ".", "7", "\u0302", "\u0327", "\u200c", "\u00ad", "م", "ە"]
@@ -162,24 +165,9 @@ contract_texts = st.lists(
 ).map("".join)
 
 
-def oracle_split(text):
-    """``text`` as ``re.split`` by a word pattern gives it: the gaps at even
-    indices, the words at odd ones. A word is a maximal run of letters and
-    apostrophes that holds a letter; everything else is gap."""
-    pieces = [""]
-    word_chars = KURDISH_LATIN_LETTERS | APOSTROPHES
-    for is_word_char, run in itertools.groupby(text, word_chars.__contains__):
-        run = "".join(run)
-        if is_word_char and not KURDISH_LATIN_LETTERS.isdisjoint(run):
-            pieces += [run, ""]
-        else:
-            pieces[-1] += run
-    return pieces
-
-
 @given(contract_texts)
 def test_word_pattern_keeps_the_word_contract(text):
-    pieces = oracle_split(text)
+    pieces = split_words(text)
     assert _WORD.split(text) == pieces
     starts = list(itertools.accumulate(map(len, pieces)))[::2]
     spans = [(start, start + len(word)) for start, word in zip(starts, pieces[1::2])]
