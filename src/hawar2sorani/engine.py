@@ -19,7 +19,7 @@ import re
 import unicodedata
 from enum import Enum
 
-from .alphabets import APOSTROPHES, ARABIC_LETTERS, KURDISH_LATIN_LETTERS, WORD_CHARS, char_class
+from .alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, WORD_CHARS, char_class
 from .rules import RuleSet, _Value
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
@@ -108,7 +108,7 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     if not word or not WORD_CHARS.issuperset(unicodedata.normalize("NFC", word)):
         raise ValueError(f"not one word: {word!r}")
     (output,), _ = rs._outputs([word])
-    if strict and re.search(_NOT_ARABIC, output):
+    if strict and rs._unmatched and re.search(rs._unmatched, output):
         offset, char = rs._first_unmatched(word)
         raise UnmatchedCharacter(char, offset)
     return output
@@ -138,12 +138,6 @@ _WORD = re.compile(
 # editor; the mark pins it. \r from CRLF input stays after the mark.
 _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
-# Rule tables write only Arabic letters (Rule and RuleSet check them) and an
-# NFC word folds to none, so its output holds another character exactly where
-# no rule matched it; strict mode looks for one. A word folds to
-# LATIN_RULE_CHARS alone, so a table with a single-letter any rule for each
-# (RuleSet._maps_every_letter) needs no scan; wider word characters must recheck.
-_NOT_ARABIC = f"[^{char_class(ARABIC_LETTERS)}]"  # re compiles it on first use
 
 
 # Shorter texts take the word path alone: filling the memo from api-short's
@@ -165,9 +159,13 @@ def transliterate_text(
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
     if len(text) < _LONG_TEXT:
-        out = _rewrite_words(unicodedata.normalize("NFC", text), rs, strict)[0]
+        out = _rewrite_words(unicodedata.normalize("NFC", text), rs)[0]
     else:
-        out = _rewrite_long(text, rs, strict)
+        out = _rewrite_long(text, rs)
+    # Strict mode reads the rewritten text alone, whichever path or memo made it:
+    # a letter of RuleSet._unmatched stood unmatched, in a word or in a gap.
+    if strict and rs._unmatched and re.search(rs._unmatched, out):
+        _strict_error(text, rs)
     # Word output is Arabic letters or passed-through word characters, never
     # a mapped symbol, so the symbol mapping can run over the whole result.
     out = map_symbols(out, cfg)
@@ -177,33 +175,29 @@ def transliterate_text(
     return unicodedata.normalize("NFC", out)
 
 
-def _rewrite_words(text: str, rs: RuleSet, strict: bool, word_list=None) -> tuple:
-    """The word path: (``text`` with each word replaced by its output, the
-    output of each word, how many distinct words missed the word memo)."""
+def _rewrite_words(text: str, rs: RuleSet, word_list=None) -> tuple:
+    """The word path: (``text`` with each word replaced by its output, how
+    many words it holds, how many distinct words missed the word memo)."""
     pieces = _WORD.split(text)
     outputs, misses = rs._outputs(pieces[1::2], word_list)
-    if strict and not rs._maps_every_letter and re.search(_NOT_ARABIC, "".join(outputs)):
-        raise _strict_error(pieces, outputs, rs)
     pieces[1::2] = outputs
-    return "".join(pieces), outputs, misses
+    return "".join(pieces), len(outputs), misses
 
 
-def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
+def _rewrite_long(text: str, rs: RuleSet) -> str:
     """``text`` with each word replaced by its output: joined from the line
     memo when it holds every line as given (its keys), else normalized line
-    by line. A word list (``RuleSet._is_word_list``) that needs no strict scan
-    of its outputs is then folded and rewritten as one string, with no split
-    into words, where ``RuleSet._rewrite_text`` can. Any other text goes
-    through the word path, which may fill the memo. Neither memo is filled
-    from a word list.
+    by line. A word list (``RuleSet._is_word_list``) is then folded and
+    rewritten as one string, with no split into words, where
+    ``RuleSet._rewrite_text`` can. Any other text goes through the word
+    path, which may fill the memo. Neither memo is filled from a word list.
 
     A newline is a starter that composes with nothing, so the NFC lines join
     to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
     only its own line. Words and their outputs never hold a newline (rules
     write only Arabic letters, and a character passed through is a word
     character), so a rewritten text splits on newlines into the rewrites of
-    its lines, one for one. The memo keeps only the lines of a text whose
-    every word matched a rule, so a hit hides nothing from strict mode.
+    its lines, one for one.
     """
     lines = text.split("\n")
     rewrites = rs._line_outputs(lines)
@@ -211,14 +205,12 @@ def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
         return "\n".join(rewrites)
     text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
     word_list = rs._is_word_list(match[0] for match in _WORD.finditer(text))
-    if word_list and (rs._maps_every_letter or not strict):
+    if word_list:
         rewritten = rs._rewrite_text(text)
         if rewritten is not None:
             return rewritten
-    rewritten, outputs, misses = _rewrite_words(text, rs, strict, word_list)
-    if misses <= len(outputs) * _WORD_MISS_SHARE and (
-        rs._maps_every_letter or not re.search(_NOT_ARABIC, "".join(outputs))
-    ):
+    rewritten, words, misses = _rewrite_words(text, rs, word_list)
+    if misses <= words * _WORD_MISS_SHARE:
         rs._keep_lines(
             {
                 line: rewrite
@@ -229,12 +221,15 @@ def _rewrite_long(text: str, rs: RuleSet, strict: bool) -> str:
     return rewritten
 
 
-def _strict_error(pieces: list, outputs: list, rs: RuleSet) -> UnmatchedCharacter:
-    """The error for the first word of ``pieces`` (words at odd indices) with
-    an unmatched character; ``outputs`` holds the output of each word."""
-    index = 2 * next(i for i, output in enumerate(outputs) if re.search(_NOT_ARABIC, output)) + 1
-    offset, char = rs._first_unmatched(pieces[index])
-    before = "".join(pieces[:index])
-    line = before.count("\n") + 1
-    column = len(before) - before.rfind("\n") + offset
-    return UnmatchedCharacter(char, offset, line, column)
+def _strict_error(text: str, rs: RuleSet) -> None:
+    """Raise the error for the first word of ``text`` whose output holds a
+    letter of ``RuleSet._unmatched``; return if only a gap holds one (an
+    apostrophe alone, under a table with no ``'`` rule). The words are
+    rewritten again, and no memo is filled."""
+    pieces = _WORD.split(unicodedata.normalize("NFC", text))
+    for index, output in zip(range(1, len(pieces), 2), rs._rewrite(pieces[1::2])):
+        if re.search(rs._unmatched, output):
+            offset, char = rs._first_unmatched(pieces[index])
+            before = "".join(pieces[:index])
+            column = len(before) - before.rfind("\n") + offset
+            raise UnmatchedCharacter(char, offset, before.count("\n") + 1, column)

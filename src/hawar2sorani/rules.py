@@ -41,6 +41,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .alphabets import (
+    APOSTROPHES,
     ARABIC_LETTERS,
     CANONICAL_APOSTROPHE,
     HAWAR_VOWELS,
@@ -171,11 +172,15 @@ class Rule(_Value):
         set_attribute(self, "output", output)
 
 
+_OTHER_APOSTROPHES = tuple(sorted(APOSTROPHES - {CANONICAL_APOSTROPHE}))
+
+
 def fold_word(word: str) -> str:
     """NFC-normalize, lowercase, and canonicalize apostrophes."""
     # str.replace, not str.translate, which is slow on non-ASCII text.
     folded = unicodedata.normalize("NFC", word).lower()
-    folded = folded.replace("’", CANONICAL_APOSTROPHE).replace("ʼ", CANONICAL_APOSTROPHE)
+    for apostrophe in _OTHER_APOSTROPHES:
+        folded = folded.replace(apostrophe, CANONICAL_APOSTROPHE)
     return unicodedata.normalize("NFC", folded)
 
 
@@ -249,7 +254,7 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
 
     Step 2 leaves a character with no rule as it is, so every character no
     rule matched reaches the output unchanged; strict mode relies on that (see
-    ``engine._NOT_ARABIC``), and ``RuleSet._first_unmatched`` finds where one
+    ``RuleSet._unmatched``), and ``RuleSet._first_unmatched`` finds where one
     stood.
 
     Returns (step 1 regex, output of each group by index, step 2's
@@ -349,7 +354,11 @@ class RuleSet(_Value):
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
-        set_attribute(self, "_maps_every_letter", LATIN_RULE_CHARS.issubset(letters))
+        # Rules write only Arabic letters and a word folds to LATIN_RULE_CHARS, so
+        # only a rule letter with no single-letter any rule can reach an output
+        # unmatched. A pattern string; "" where none can (the built-in table).
+        unmatched = char_class(LATIN_RULE_CHARS.difference(letters))
+        set_attribute(self, "_unmatched", unmatched and f"[{unmatched}]")
         set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
         set_attribute(self, "_exception_pattern", _exception_pattern(exceptions))
         # The word memo of _outputs, the line memo and their one lock.
@@ -407,11 +416,7 @@ class RuleSet(_Value):
             return None
 
     def _keep_lines(self, rewrites: dict) -> None:
-        """Memoize lines as given (keys) with the words of their NFC forms rewritten (values).
-
-        Only lines whose every word matched a rule may enter, so a hit is
-        clean for strict mode too (the engine checks).
-        """
+        """Memoize lines as given (keys) with the words of their NFC forms rewritten (values)."""
         with self._word_lock:
             cache = self._line_cache
             if len(cache) + len(rewrites) > _CACHE_LIMIT:
@@ -472,7 +477,7 @@ class RuleSet(_Value):
         """(index, char) of the first character of ``fold_word(word)`` no rule matches.
 
         Unmatched: a character no match of step 1 covers and step 2 lacks.
-        Strict mode walks only a word whose output holds one (``engine._NOT_ARABIC``).
+        Strict mode walks only a word whose output holds one (``_unmatched``).
         """
         folded, letters = fold_word(word), self._letters
         covered = {i for match in self._regex.finditer(folded) for i in range(*match.span())}

@@ -730,16 +730,15 @@ _block_texts = st.lists(
 @example("Min û\r\ntu, 12", "qelem")  # a q in a line the memo misses
 @example("min û tu " * 8, "baş")  # a line over the length cap
 def test_line_memo_matches_oracle(block, extra):
-    # One fresh table per example: the first call fills its line memo unless
-    # the text holds a q, the second hits it if it holds every line, and the
-    # last two miss it on the lines of ``extra`` the memo lacks. Each
-    # non-strict call comes before a strict one, so a line kept with a q
-    # would hide it from strict mode.
+    # One fresh table per example: the first call fills its line memo, with
+    # a line that holds an unmatched q too, the second hits it if it holds
+    # every line, and the last two miss it on the lines of ``extra`` the memo
+    # lacks. Each non-strict call comes before a strict one, so the strict
+    # call must find a q in the lines the memo gives.
     table = _table_without_q()
     text = _long(block)
     lines = set(text.split("\n"))
     fitting = {line for line in lines if len(line) <= engine._LONGEST_LINE}
-    clean = "q" not in block.lower()
     plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
     calls = [
         (text, plain, False),
@@ -753,15 +752,16 @@ def test_line_memo_matches_oracle(block, extra):
             expected = outcome(naive_transliterate_text, source, table, config, strict=strict)
             assert outcome(transliterate_text, source, table, config, strict=strict) == expected
             if number == 0:
-                assert set(table._line_cache) == (fitting if clean else set())
+                assert set(table._line_cache) == fitting
             elif number == 1:
-                assert len(word_path) == (1 if clean and fitting == lines else 2)
+                assert len(word_path) == (1 if fitting == lines else 2)
 
 
 def test_long_text_strict_after_non_strict_run(monkeypatch):
     # A clean text fills the line memo. The second text misses it on one
     # line, which holds an unmatched q: strict mode must place it in the
-    # whole text.
+    # whole text. The word path keeps that line too, so later calls are
+    # joined from the memo, and a strict one still raises at the q.
     tiny = parse_rules(_TINY_TABLE)
     block = "ban\nna ban\nna, ban ban"
     clean = _long(block)
@@ -773,10 +773,10 @@ def test_long_text_strict_after_non_strict_run(monkeypatch):
     assert expected == ("q", 2, 302, 6)
     word_path = _word_path_texts(monkeypatch)
     assert outcome(transliterate_text, text, tiny, strict=True) == expected
+    assert "na baq ban" in tiny._line_cache
     assert transliterate_text(text, tiny) == naive_transliterate_text(text, tiny, EngineConfig())
-    assert "na baq ban" not in tiny._line_cache
     assert outcome(transliterate_text, text, tiny, strict=True) == expected
-    assert word_path == [text] * 3
+    assert word_path == [text]
 
 
 def test_line_over_the_length_cap_is_not_kept(monkeypatch):
@@ -818,7 +818,8 @@ def test_line_memo_clears_mid_run(monkeypatch):
 def test_line_memo_stays_empty_where_it_cannot_help():
     # Lines kept that are not seen again cost peak RSS, which the benchmark
     # bounds at +10% on every workload (BENCHMARK.json): the shapes of
-    # api-short and unique-words, and unmatched letters, fill nothing.
+    # api-short and unique-words fill nothing. An unmatched letter keeps no
+    # line out: strict mode reads a line the memo gives as it reads any other.
     rng = random.Random(13)
     table = default_rules()
     vocabulary = _random_words(rng, 300)
@@ -833,8 +834,11 @@ def test_line_memo_stays_empty_where_it_cannot_help():
     text = _long("min qelem û tu")
     expected = naive_transliterate_text(text, without_q, EngineConfig())
     assert transliterate_text(text, without_q) == expected
-    assert without_q._line_cache == {}
-    # With its q rule, the same text fills the memo.
+    assert list(without_q._line_cache) == ["min qelem û tu"]
+    expected = outcome(naive_transliterate_text, text, without_q, EngineConfig(), strict=True)
+    assert expected == ("q", 0, 1, 5)
+    assert outcome(transliterate_text, text, without_q, strict=True) == expected
+    # With its q rule, the same text fills the memo too.
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
     assert list(table._line_cache) == ["min qelem û tu"]
 
@@ -1028,8 +1032,8 @@ def test_short_batches_of_distinct_words_fill_the_memo():
 
 # A word list's text, once its words are told a list, is folded and rewritten
 # as one string when every character is ASCII or a word character, no run of
-# apostrophes stands alone, the table's exception words share a first letter
-# and no strict scan is needed; otherwise it takes the word path.
+# apostrophes stands alone and the table's exception words share a first
+# letter, strict or not; otherwise it takes the word path.
 
 _BUILT_IN_RULES = serialize_rules(default_rules())
 _WORD_LIST_TABLES = {
@@ -1105,19 +1109,22 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
             assert outcome(transliterate_text, text, table, strict=strict) == expected
             # Told a word list once, whichever path the text then takes.
             assert verdicts == [True]
-            whole = (
-                odd is None
-                and name != "two first letters"
-                and not (strict and name == "without q")
-            )
-            assert (calls == []) == whole, (strict, calls)
+            # The whole-text path rewrites no batch of words; placing a strict
+            # error rewrites every word of the text once.
+            whole = odd is None and name != "two first letters"
+            words = len(split_words(unicodedata.normalize("NFC", text))) // 2
+            placed = [words] if isinstance(expected, tuple) else []
+            assert (calls == placed) == whole, (strict, calls)
+            assert (strict and name == "without q") == bool(placed)
             assert table._word_cache == {} and table._line_cache == {}
 
 
-# ------------------------------------------------------------- strict skip
+# ------------------------------------------------------------- strict mode
 # A table with a single-letter any rule for every rule letter writes only
-# Arabic letters for every word the engine cuts, so strict mode does not scan
-# its outputs. A wider engine._WORD must recompute the flag.
+# Arabic letters for every word the engine cuts: its RuleSet._unmatched is
+# empty, so strict mode does not scan its outputs. A wider engine._WORD must
+# recompute it. Any other table is checked once per text, on the rewritten
+# text, whichever path made it.
 
 
 def _table_with_initial_x():
@@ -1148,11 +1155,11 @@ def test_every_one_letter_word_folds_to_rule_letters():
 
 
 def test_only_a_table_mapping_every_letter_skips_the_strict_scan():
-    assert default_rules()._maps_every_letter
-    assert not _table_without_q()._maps_every_letter
+    assert default_rules()._unmatched == ""
+    assert _table_without_q()._unmatched == "[q]"
     initial_x = _table_with_initial_x()
     assert Rule("x", Context.WORD_INITIAL, "خ") in initial_x.rules
-    assert not initial_x._maps_every_letter
+    assert initial_x._unmatched == "[x]"
 
 
 def test_letter_with_only_an_initial_rule_strict_error_position():
@@ -1170,6 +1177,73 @@ def test_letter_with_only_an_initial_rule_strict_error_position():
     assert table._line_cache  # the first batch filled it; the error is in a later one
     got = error.value
     assert (got.char, got.offset, got.line, got.column) == expected
+
+
+def _paths(monkeypatch):
+    """The list of paths the engine rewrites texts by from now: "words",
+    "whole" (a word list folded whole) or "memo" (joined from the line memo)."""
+    paths = []
+    rewrite_words, rewrite_text = engine._rewrite_words, RuleSet._rewrite_text
+    line_outputs = RuleSet._line_outputs
+
+    def recording_rewrite_words(*args):
+        paths.append("words")
+        return rewrite_words(*args)
+
+    def recording(path, method):
+        def record(self, *args):
+            result = method(self, *args)
+            if result is not None:
+                paths.append(path)
+            return result
+
+        return record
+
+    monkeypatch.setattr(engine, "_rewrite_words", recording_rewrite_words)
+    monkeypatch.setattr(RuleSet, "_rewrite_text", recording("whole", rewrite_text))
+    monkeypatch.setattr(RuleSet, "_line_outputs", recording("memo", line_outputs))
+    return paths
+
+
+@pytest.mark.parametrize("path", ["short", "words", "whole", "memo"])
+def test_strict_error_on_every_path(monkeypatch, path):
+    # Each text holds one q, which a table with no q rule leaves unmatched.
+    # The memo's text is joined from lines a non-strict run kept.
+    table = _table_without_q()
+    if path == "short":
+        text, position = "min û tu\nÇiya û şêr qelem", ("q", 0, 2, 12)
+    elif path == "whole":
+        words = [word for word in _random_words(random.Random(17), 3300) if "q" not in word]
+        words[2345] = "baqo"
+        text, position = _word_list(words[:3000]), ("q", 2, 235, 34)
+    else:
+        lines = ["Xwezî min û tu li Kurdistanê bin, ne wisa?", "Çiya bilind in."] * 150
+        lines[201] = "Ew baqo mezin e."
+        text, position = "\n".join(lines), ("q", 2, 202, 6)
+    assert (len(text) >= engine._LONG_TEXT) == (path != "short")
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == position
+    if path == "memo":
+        assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
+    paths = _paths(monkeypatch)
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert paths == ["words" if path == "short" else path]
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_strict_mode_passes_an_apostrophe_gap(monkeypatch, long):
+    # With no ' rule, an apostrophe alone is a gap that the strict check
+    # matches; no word holds an unmatched letter, so nothing raises. The long
+    # text is joined from the line memo the non-strict run filled.
+    tiny = parse_rules(_TINY_TABLE)
+    assert re.fullmatch(tiny._unmatched, "'")
+    text = _long("a ' b") if long else "a ' b"
+    expected = naive_transliterate_text(text, tiny, EngineConfig())
+    assert expected.startswith("ا ' ب")
+    assert transliterate_text(text, tiny) == expected
+    paths = _paths(monkeypatch)
+    assert transliterate_text(text, tiny, strict=True) == expected
+    assert paths == ["memo" if long else "words"]
 
 
 # ----------------------------------------------------------- normalization
@@ -1281,7 +1355,10 @@ def test_long_dirty_text_strict_error_column(monkeypatch):
     assert expected == ("q", 0, 601, 12)
     normalized = _normalized(monkeypatch)
     assert outcome(transliterate_text, text, table, strict=True) == expected
-    assert len(normalized) == text.count("\n") + 1  # line by line, then raised
+    # Line by line, then the whole text, whose words place the error.
+    assert normalized[-1] == text and len(normalized) == text.count("\n") + 2
     plain = naive_transliterate_text(text, table, EngineConfig())
     assert transliterate_text(text, table) == plain
+    normalized.clear()
     assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert normalized == [text]  # joined from the line memo, then placed

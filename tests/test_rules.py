@@ -2,7 +2,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hawar2sorani import rules
@@ -484,18 +484,35 @@ def test_round_trip_property(ruleset):
     assert parse_rules(serialize_rules(ruleset)) == ruleset
 
 
-@given(rulesets(), st.data())
-def test_random_tables_match_naive_text(table, data):
+@st.composite
+def tables_and_texts(draw):
     # Words over the rule alphabet plus a character no rule matches and an
     # Arabic letter, or the table's exception words; some upper-cased.
+    table = draw(rulesets())
     word = st.text(st.sampled_from(sorted(LATIN_RULE_CHARS) + ["0", "ب"]), min_size=1, max_size=8)
     if table.exceptions:
         word |= st.sampled_from(sorted(table.exceptions))
     word = st.builds(lambda text, upper: text.upper() if upper else text, word, st.booleans())
-    words = data.draw(st.lists(word, min_size=1, max_size=8))
+    words = draw(st.lists(word, min_size=1, max_size=8))
     text = words[0]
     for following in words[1:]:
-        text += data.draw(st.sampled_from([" ", "\n", ", ", " 7 "])) + following
+        text += draw(st.sampled_from([" ", "\n", ", ", " 7 "])) + following
+    return table, text
+
+
+# Strict mode places an error by the words' outputs, not by their folds.
+# Neither table has a rule: in "' b" the gap ' is unmatched and the exception
+# word b is not, so nothing raises; in "A AA" the exception word A matches
+# and AA raises.
+_APOSTROPHE_GAP = (RuleSet((), {"b": "ب"}), "' b")
+_EXCEPTION_WORD = (RuleSet((), {"a": "ا"}), "A AA")
+
+
+@given(tables_and_texts())
+@example(_APOSTROPHE_GAP)
+@example(_EXCEPTION_WORD)
+def test_random_tables_match_naive_text(table_and_text):
+    table, text = table_and_text
     for strict in (False, True):
         # An empty word memo: every word misses.
         fresh = RuleSet(table.rules, table.exceptions, table.latin_vowels, table.version)
@@ -699,11 +716,16 @@ def small_tables(draw):
     return RuleSet(tuple(table), exceptions, draw(st.frozensets(st.sampled_from(letters))))
 
 
-@given(small_tables(), st.data())
-def test_grouped_step_one_matches_naive_text(table, data):
-    # Words over the table's letters, one with no rule and an upper case.
-    word = st.text(st.sampled_from("abeoAE"), min_size=1, max_size=6)
-    words = data.draw(st.lists(word, min_size=1, max_size=12))
+# Words over the table's letters, one with no rule and an upper case.
+_small_words = st.lists(
+    st.text(st.sampled_from("abeoAE"), min_size=1, max_size=6), min_size=1, max_size=12
+)
+
+
+@given(small_tables(), _small_words)
+@example(_APOSTROPHE_GAP[0], ["'", "b"])
+@example(_EXCEPTION_WORD[0], ["A", "AA"])
+def test_grouped_step_one_matches_naive_text(table, words):
     text = " ".join(words)
     for strict in (False, True):
         fresh = RuleSet(table.rules, table.exceptions, table.latin_vowels)  # every word misses

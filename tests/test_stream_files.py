@@ -202,12 +202,24 @@ def _with_u():
     return with_u
 
 
+def _quoted(line):
+    """``line`` with its second word in "«…»" and that word's first letter an a.
+
+    Only a vowel tells a word-initial rule from the others («agir» gives
+    «ئاگر», agir after a letter اگر), so a gap character that did not bound
+    words would show in the output.
+    """
+    line = _wrap(line, 3, "«", "»")
+    line[3] = ("A" if line[3][0].isupper() else "a") + line[3][1:]
+    return line
+
+
 # A table whose exception words begin with two letters.
 TWO_LETTERS = serialize_rules(default_rules()) + "ba\tword\tق\n"
 LISTS = {
     "list-u.txt": (_with_u, None),
-    # A "«…»" pair in every line.
-    "list-quotes.txt": (lambda: [_wrap(line, 3, "«", "»") for line in BASE], None),
+    # A "«…»" pair in every line, around a word that starts with a vowel.
+    "list-quotes.txt": (lambda: [_quoted(line) for line in BASE], None),
     # A lone "'" in every line.
     "list-apostrophe.txt": (lambda: [_wrap(line, 5, "", " '") for line in BASE], None),
     "list.txt two-letters.rules": (lambda: BASE, TWO_LETTERS),
