@@ -107,7 +107,7 @@ def transliterate_word(word: str, rs: RuleSet, *, strict: bool = False) -> str:
     """
     if not word or not WORD_CHARS.issuperset(unicodedata.normalize("NFC", word)):
         raise ValueError(f"not one word: {word!r}")
-    (output,), _ = rs._outputs([word])
+    (output,) = rs._outputs([word])
     if strict and rs._unmatched and re.search(rs._unmatched, output):
         offset, char = rs._first_unmatched(word)
         raise UnmatchedCharacter(char, offset)
@@ -140,18 +140,10 @@ _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
 
 
-# Shorter texts take the word path alone: filling the memo from api-short's
-# one-sentence calls cost 3.2 MB (+17%) of peak RSS.
+# Shorter texts take the word path alone, which costs less per call: api-short's
+# 5,000 sentences take 3.5 us each here and 6.5 us through _rewrite_long, which
+# keeps no one-line text (seed 101, best of 9).
 _LONG_TEXT = 4096
-# A text run through the words fills the line memo only when at most this
-# share of its words missed the word memo: 0.006 in repeat-block's first batch,
-# 0.044 or more on strict-lines, where a 1/4 gate kept 14,804 lines for 4.7 MB
-# of peak RSS (seed 101).
-_WORD_MISS_SHARE = 1 / 64
-# Longer lines are never kept, which bounds each entry. On seed 101 the longest
-# line that repeats as given has 56 characters on repeat-block and 24 on
-# strict-lines, and unique-words repeats no line.
-_LONGEST_LINE = 64
 
 
 def transliterate_text(
@@ -159,7 +151,7 @@ def transliterate_text(
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
     if len(text) < _LONG_TEXT:
-        out = _rewrite_words(unicodedata.normalize("NFC", text), rs)[0]
+        out = _rewrite_words(unicodedata.normalize("NFC", text), rs)
     else:
         out = _rewrite_long(text, rs)
     # Strict mode reads the rewritten text alone, whichever path or memo made it:
@@ -175,22 +167,21 @@ def transliterate_text(
     return unicodedata.normalize("NFC", out)
 
 
-def _rewrite_words(text: str, rs: RuleSet, word_list=None) -> tuple:
-    """The word path: (``text`` with each word replaced by its output, how
-    many words it holds, how many distinct words missed the word memo)."""
+def _rewrite_words(text: str, rs: RuleSet, word_list=None) -> str:
+    """The word path: ``text`` with each word replaced by its output."""
     pieces = _WORD.split(text)
-    outputs, misses = rs._outputs(pieces[1::2], word_list)
-    pieces[1::2] = outputs
-    return "".join(pieces), len(outputs), misses
+    pieces[1::2] = rs._outputs(pieces[1::2], word_list)
+    return "".join(pieces)
 
 
 def _rewrite_long(text: str, rs: RuleSet) -> str:
     """``text`` with each word replaced by its output: joined from the line
     memo when it holds every line as given (its keys), else normalized line
-    by line. A word list (``RuleSet._is_word_list``) is then folded and
-    rewritten as one string, with no split into words, where
-    ``RuleSet._rewrite_text`` can. Any other text goes through the word
-    path, which may fill the memo. Neither memo is filled from a word list.
+    by line. A word list (``RuleSet._is_word_list``) then fills neither
+    memo; it is folded and rewritten as one string, with no split into
+    words, where ``RuleSet._rewrite_text`` can. Any other text goes through
+    the word path, and the line memo keeps its lines if they repeat
+    (``RuleSet._keep_lines``).
 
     A newline is a starter that composes with nothing, so the NFC lines join
     to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
@@ -204,20 +195,11 @@ def _rewrite_long(text: str, rs: RuleSet) -> str:
     if rewrites is not None:
         return "\n".join(rewrites)
     text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
-    word_list = rs._is_word_list(match[0] for match in _WORD.finditer(text))
-    if word_list:
+    if rs._is_word_list(match[0] for match in _WORD.finditer(text)):
         rewritten = rs._rewrite_text(text)
-        if rewritten is not None:
-            return rewritten
-    rewritten, words, misses = _rewrite_words(text, rs, word_list)
-    if misses <= words * _WORD_MISS_SHARE:
-        rs._keep_lines(
-            {
-                line: rewrite
-                for line, rewrite in zip(lines, rewritten.split("\n"))
-                if len(line) <= _LONGEST_LINE
-            }
-        )
+        return _rewrite_words(text, rs, True) if rewritten is None else rewritten
+    rewritten = _rewrite_words(text, rs, False)
+    rs._keep_lines(lines, rewritten)
     return rewritten
 
 

@@ -4,11 +4,12 @@ A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
 output under a positional condition. A RuleSet owns a word's rewrite: it
 compiles its rules once and memoizes each raw word's output (``_outputs``),
 and keeps the engine's second memo, of lines as given to their NFC form
-with the words rewritten (``_line_outputs``, ``_keep_lines``); both memos
-share one size limit and one lock, which a fill or a clear takes, never a
-read. A batch whose first 512 words are distinct and none in the word memo,
-such as a word list, is rewritten without filling either memo: its words
-would only push out words that do repeat.
+with the words rewritten (``_line_outputs``), filled only from a text whose
+lines repeat (``_keep_lines``); both memos share one size limit and one
+lock, which a fill or a clear takes, never a read. A batch whose first 512
+words are distinct and none in the word memo, such as a word list, is
+rewritten without filling either memo: its words would only push out words
+that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word holds),
 then one regular expression replaces every match of a longer or context rule,
@@ -204,6 +205,10 @@ _APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
 # list fills nothing (see _UNIQUE_BATCH). The line memo has the same limit and
 # the same clear.
 _CACHE_LIMIT = 1 << 17
+# Longer lines are never kept in the line memo, which bounds each entry. On
+# seed 101 the longest line that repeats as given has 56 characters on
+# repeat-block and 24 on strict-lines, and unique-words repeats no line.
+_LONGEST_LINE = 64
 # A batch whose first this many words are distinct and none in the memo is a
 # word list (RuleSet._is_word_list), rewritten without hashing its other words
 # or filling the memo, even if a later word repeats; the engine folds and
@@ -366,19 +371,19 @@ class RuleSet(_Value):
         set_attribute(self, "_line_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
-    def _outputs(self, words: list, word_list=None) -> tuple:
-        """(the output of each raw word, how many distinct words missed the memo).
+    def _outputs(self, words: list, word_list=None) -> list:
+        """The output of each raw word.
 
         The misses are folded and rewritten in one batch and memoized, unless
         the batch is a word list (``word_list`` if given, else ``_is_word_list``):
-        its words all count as misses and are not memoized, as none would hit.
+        its words are not memoized, as none would hit.
         """
         try:  # every word a hit: no Python code runs per word
-            return list(map(self._word_cache.__getitem__, words)), 0
+            return list(map(self._word_cache.__getitem__, words))
         except KeyError:  # a miss, or a read that raced another thread's clear
             pass
         if word_list or word_list is None and self._is_word_list(words):
-            return self._rewrite(words), len(words)  # no word of it would hit
+            return self._rewrite(words)  # no word of it would hit
         # Under the lock no other thread's clear lands between this fill and its reads.
         with self._word_lock:
             cache = self._word_cache
@@ -392,7 +397,7 @@ class RuleSet(_Value):
             # _rewrite folds the misses with one fold_word call, which
             # perfbench's tracer times as one pass per batch.
             cache.update(zip(missing, self._rewrite(missing)))
-            return list(map(cache.__getitem__, words)), len(missing)
+            return list(map(cache.__getitem__, words))
 
     def _is_word_list(self, words) -> bool:
         """Whether the words of a batch (an iterable) make a word list: its
@@ -415,8 +420,16 @@ class RuleSet(_Value):
         except KeyError:
             return None
 
-    def _keep_lines(self, rewrites: dict) -> None:
-        """Memoize lines as given (keys) with the words of their NFC forms rewritten (values)."""
+    def _keep_lines(self, lines: list, rewritten: str) -> None:
+        """Memoize a text's lines as given with the words of their NFC forms
+        rewritten (the lines of ``rewritten``) if at most half of them are
+        distinct: lines that do not repeat, such as prose past a warm word
+        memo, would never hit, and a one-line text is never kept. Lines over
+        ``_LONGEST_LINE`` characters are not kept either."""
+        if len(set(lines)) * 2 > len(lines):
+            return
+        pairs = zip(lines, rewritten.split("\n"))
+        rewrites = {line: rewrite for line, rewrite in pairs if len(line) <= _LONGEST_LINE}
         with self._word_lock:
             cache = self._line_cache
             if len(cache) + len(rewrites) > _CACHE_LIMIT:

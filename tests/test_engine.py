@@ -678,8 +678,8 @@ _TINY_TABLE = "b\tany\tب\na\tany\tا\nn\tany\tن"
 
 def _long(block: str) -> str:
     """``block`` repeated on lines of its own, past the length threshold and
-    often enough that a fresh RuleSet's first call fills its line memo."""
-    repeats = max(round(1 / engine._WORD_MISS_SHARE), engine._LONG_TEXT // len(block) + 1)
+    at least twice, so a fresh RuleSet's first call fills its line memo."""
+    repeats = max(2, engine._LONG_TEXT // len(block) + 1)
     return "\n".join([block] * repeats)
 
 
@@ -738,7 +738,7 @@ def test_line_memo_matches_oracle(block, extra):
     table = _table_without_q()
     text = _long(block)
     lines = set(text.split("\n"))
-    fitting = {line for line in lines if len(line) <= engine._LONGEST_LINE}
+    fitting = {line for line in lines if len(line) <= rules._LONGEST_LINE}
     plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
     calls = [
         (text, plain, False),
@@ -841,6 +841,35 @@ def test_line_memo_stays_empty_where_it_cannot_help():
     # With its q rule, the same text fills the memo too.
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
     assert list(table._line_cache) == ["min qelem û tu"]
+
+
+def test_distinct_lines_are_not_kept_past_a_warm_word_memo(monkeypatch):
+    # Prose whose every word the word memo holds, in lines that never repeat
+    # (a corpus, not a 1 MB file): a kept line would never hit. Neither one
+    # call nor the CLI's batches, the first of which warms the word memo, keep any.
+    rng = random.Random(29)
+    vocabulary = _random_words(rng, 400)
+    lines = set()
+    while len(lines) < 1200:
+        line = " ".join(rng.choices(vocabulary, k=rng.randint(3, 8)))
+        if len(line) <= rules._LONGEST_LINE:
+            lines.add(line)
+    text = "\n".join(sorted(lines, key=lambda line: rng.random()))
+    expected = naive_transliterate_text(text, default_rules(), EngineConfig())
+    table = default_rules()
+    transliterate_text(" ".join(vocabulary), table)
+    assert len(table._word_cache) == 400
+    assert transliterate_text(text, table) == expected
+    assert table._line_cache == {}
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 1 << 13)
+    data = text.encode("utf-8")
+    source = io.BytesIO(data)
+    batches = [b"".join(lines) for lines in iter(lambda: source.readlines(cli._BATCH_BYTES), [])]
+    assert sum(len(batch.decode()) >= engine._LONG_TEXT for batch in batches) >= 6
+    table, sink = default_rules(), io.BytesIO()
+    cli._stream(io.BytesIO(data), sink, table, EngineConfig(), False)
+    assert sink.getvalue() == expected.encode("utf-8")
+    assert len(table._word_cache) == 400 and table._line_cache == {}
 
 
 class _CountedClears(dict):
