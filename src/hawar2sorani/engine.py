@@ -141,7 +141,7 @@ _STOP_WITH_RLM = "." + RLM
 
 
 # Shorter texts take the word path alone, which costs less per call: api-short's
-# 5,000 sentences take 3.5 us each here and 6.5 us through _rewrite_long, which
+# 5,000 sentences take 3.5 us each on it and 6.5 us through _rewrite_long, which
 # keeps no one-line text (seed 101, best of 9).
 _LONG_TEXT = 4096
 
