@@ -2,8 +2,8 @@
 
 A word is a maximal run of word characters (``alphabets.WORD_CHARS``) that
 holds a letter. The word path splits a text into words and the gaps between
-them; the RuleSet gives every word's output in one call (it folds, memoizes
-and rewrites words; see rules.py), and the pieces are joined again. A long
+them with ``rules._WORD``; the RuleSet gives every word's output in one call
+(it folds, memoizes and rewrites words), and the pieces are joined again. A long
 text whose every line is in the RuleSet's line memo is joined from it
 instead, and a long word list may be folded and rewritten as one string (see
 ``_rewrite_long``). Every character outside a word gets the configured
@@ -19,8 +19,8 @@ import re
 import unicodedata
 from enum import Enum
 
-from .alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, WORD_CHARS, char_class
-from .rules import RuleSet, _Value
+from .alphabets import WORD_CHARS
+from .rules import _WORD, RuleSet, _Value
 
 RLM = "‏"  # RIGHT-TO-LEFT MARK
 
@@ -123,17 +123,6 @@ def map_symbols(text: str, cfg: EngineConfig) -> str:
     return text
 
 
-# A word opens with a letter, or with apostrophes a letter follows. A class, not
-# [A]*, opens it, so re skips gaps in C; a lookbehind per apostrophe, not a letter
-# class (0.1 ms more to compile), tells a letter. Its group makes split() keep words.
-_WORD = re.compile(
-    "({word}(?:{not_apostrophe}|(?=[{apostrophes}]*[{letters}])){word}*)".format(
-        word=f"[{char_class(WORD_CHARS)}]",
-        not_apostrophe="".join(f"(?<!{a})" for a in sorted(APOSTROPHES)),
-        apostrophes=char_class(APOSTROPHES),
-        letters=char_class(KURDISH_LATIN_LETTERS),
-    )
-)
 # A full stop ending a line would render on the wrong side in an LTR-defaulted
 # editor; the mark pins it. \r from CRLF input stays after the mark.
 _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
@@ -206,10 +195,10 @@ def _rewrite_long(text: str, rs: RuleSet) -> str:
 def _strict_error(text: str, rs: RuleSet) -> None:
     """Raise the error for the first word of ``text`` whose output holds a
     letter of ``RuleSet._unmatched``; return if only a gap holds one (an
-    apostrophe alone, under a table with no ``'`` rule). The words are
-    rewritten again, and no memo is filled."""
+    apostrophe alone, under a table with no ``'`` rule). The outputs come from
+    ``RuleSet._outputs``, so a word the memo holds costs a read."""
     pieces = _WORD.split(unicodedata.normalize("NFC", text))
-    for index, output in zip(range(1, len(pieces), 2), rs._rewrite(pieces[1::2])):
+    for index, output in zip(range(1, len(pieces), 2), rs._outputs(pieces[1::2])):
         if re.search(rs._unmatched, output):
             offset, char = rs._first_unmatched(pieces[index])
             before = "".join(pieces[:index])

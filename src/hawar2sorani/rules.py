@@ -16,10 +16,10 @@ then one regular expression replaces every match of a longer or context rule,
 left to right, and one ``str.replace`` per single-letter ``any`` rule maps
 each letter left over. Splitting on the newlines gives each word's output.
 A word list's text can also be folded and rewritten whole (``_rewrite_text``),
-its gaps left in place. A word starts and ends at a word boundary (``_GAP``)
-or at an end of the string. The compile step (``_compile``) is the one place
-that states which rule wins, why the two steps agree with it, and why the
-boundaries keep the words apart.
+its gaps left in place. Every word and gap pattern is stated here: ``_WORD``,
+which the engine splits text with, the word boundary ``_GAP`` and the word
+list's gates. ``_compile`` is the one place that states which rule wins, why
+the two steps agree with it, and why the boundaries keep the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -46,6 +46,7 @@ from .alphabets import (
     ARABIC_LETTERS,
     CANONICAL_APOSTROPHE,
     HAWAR_VOWELS,
+    KURDISH_LATIN_LETTERS,
     LATIN_RULE_CHARS,
     WORD_CHARS,
     char_class,
@@ -185,6 +186,17 @@ def fold_word(word: str) -> str:
     return unicodedata.normalize("NFC", folded)
 
 
+# A word opens with a letter, or with apostrophes a letter follows. A class, not
+# [A]*, opens it, so re skips gaps in C; a lookbehind per apostrophe, not a letter
+# class (0.1 ms more to compile), tells a letter. Its group makes split() keep words.
+_WORD = re.compile(
+    "({word}(?:{not_apostrophe}|(?=[{apostrophes}]*[{letters}])){word}*)".format(
+        word=f"[{char_class(WORD_CHARS)}]",
+        not_apostrophe="".join(f"(?<!{a})" for a in sorted(APOSTROPHES)),
+        apostrophes=char_class(APOSTROPHES),
+        letters=char_class(KURDISH_LATIN_LETTERS),
+    )
+)
 # Word boundaries, as a class body: every ASCII character that is not a word
 # character. A batch of folded words is joined with "\n", one of them; no folded
 # word holds one. Step 1 puts the class in its initial and final checks and its
@@ -422,11 +434,11 @@ class RuleSet(_Value):
 
     def _keep_lines(self, lines: list, rewritten: str) -> None:
         """Memoize a text's lines as given with the words of their NFC forms
-        rewritten (the lines of ``rewritten``) if at most half of them are
-        distinct: lines that do not repeat, such as prose past a warm word
-        memo, would never hit, and a one-line text is never kept. Lines over
-        ``_LONGEST_LINE`` characters are not kept either."""
-        if len(set(lines)) * 2 > len(lines):
+        rewritten (the lines of ``rewritten``) if at most half of those not
+        blank (empty, or a lone CR of CRLF) are distinct: lines that do not
+        repeat, such as prose past a warm word memo, would never hit, and a
+        one-line text is never kept; nor is a line over ``_LONGEST_LINE``."""
+        if (len({*lines, "", "\r"}) - 2) * 2 > len(lines) - lines.count("") - lines.count("\r"):
             return
         pairs = zip(lines, rewritten.split("\n"))
         rewrites = {line: rewrite for line, rewrite in pairs if len(line) <= _LONGEST_LINE}
@@ -489,12 +501,12 @@ class RuleSet(_Value):
     def _first_unmatched(self, word: str) -> tuple:
         """(index, char) of the first character of ``fold_word(word)`` no rule matches.
 
-        Unmatched: a character no match of step 1 covers and step 2 lacks.
-        Strict mode walks only a word whose output holds one (``_unmatched``).
+        It is the first letter of ``_unmatched`` left once step 1's matches are
+        blanked to as many spaces; strict mode walks only words whose outputs hold one.
         """
-        folded, letters = fold_word(word), self._letters
-        covered = {i for match in self._regex.finditer(folded) for i in range(*match.span())}
-        return next((i, c) for i, c in enumerate(folded) if i not in covered and c not in letters)
+        blank = lambda match: " " * len(match[0])  # no rule letter is a space
+        match = re.search(self._unmatched, self._regex.sub(blank, fold_word(word)))
+        return match.start(), match[0]
 
     def __hash__(self):
         # exceptions is compared but not hashed: a read-only dict view is unhashable.

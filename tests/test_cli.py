@@ -443,21 +443,27 @@ _HEAVY_MODULES = {"dataclasses", "inspect", "importlib.resources", "typing", "pa
 
 def test_start_up_imports_no_heavy_module():
     # Every run pays for start-up before it converts a word. Without site, as
-    # in a clean environment, importing the CLI and reading the built-in table
-    # and the shipped corpus must load none of these modules.
+    # in a clean environment, nothing is preloaded: importing the CLI and
+    # reading the built-in table and the shipped corpus must load none of
+    # these modules. The child prints what it had before, then what it loaded.
     child = (
         "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
         "before = set(sys.modules)\n"
         "from hawar2sorani import cli\n"
         "cli.check_corpus(None, cli.default_rules(), cli.EngineConfig())\n"
+        "print(*sorted(before))\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-S", "-c", child, src], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", child],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    loaded = set(result.stdout.split())
+    before, loaded = map(set, map(str.split, result.stdout.splitlines()))
+    assert not before & _HEAVY_MODULES, sorted(before & _HEAVY_MODULES)
     assert "hawar2sorani.cli" in loaded
     assert not loaded & _HEAVY_MODULES, sorted(loaded & _HEAVY_MODULES)
 

@@ -427,7 +427,7 @@ def test_text_cache_clears_mid_text(monkeypatch):
         "ban nab",
     ]
     text = "\n".join(lines)
-    assert len(set(engine._WORD.findall(text))) > 8
+    assert len(set(rules._WORD.findall(text))) > 8
     configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
     for strict in (False, True):
         for config in configs:
@@ -549,7 +549,7 @@ def test_greedy_matches_oracle(rs, word):
 @given(_mixed_texts)
 def test_every_word_of_a_text_is_one_word(rs, text):
     # The words the text path cuts are words to transliterate_word too.
-    for word in engine._WORD.split(unicodedata.normalize("NFC", text))[1::2]:
+    for word in rules._WORD.split(unicodedata.normalize("NFC", text))[1::2]:
         for strict in (False, True):
             got = transliterate_word(word, rs, strict=strict)
             assert got == naive_transliterate_word(naive_fold(word), rs), word
@@ -872,6 +872,26 @@ def test_distinct_lines_are_not_kept_past_a_warm_word_memo(monkeypatch):
     assert len(table._word_cache) == 400 and table._line_cache == {}
 
 
+@pytest.mark.parametrize("separator", ["\n\n\n", "\r\n\r\n\r\n"])
+def test_blank_lines_between_distinct_lines_are_not_repeats(separator):
+    # Two blank lines after each distinct line: the blank lines ("" or, from
+    # CRLF, "\r") repeat, the lines of words never do, so nothing is kept.
+    rng = random.Random(3)
+    vocabulary = _random_words(rng, 400)
+    lines = set()
+    while len(lines) < 600:
+        line = " ".join(rng.choices(vocabulary, k=rng.randint(3, 8)))
+        if len(line) <= rules._LONGEST_LINE:
+            lines.add(line)
+    text = separator.join(sorted(lines))
+    assert len(text) >= engine._LONG_TEXT
+    table = default_rules()
+    transliterate_text(" ".join(vocabulary), table)
+    expected = naive_transliterate_text(text, table, EngineConfig())
+    assert transliterate_text(text, table) == expected
+    assert table._line_cache == {}
+
+
 class _CountedClears(dict):
     """A dict that counts the calls of its ``clear``."""
 
@@ -1136,13 +1156,15 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
             verdicts.clear()
             expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
             assert outcome(transliterate_text, text, table, strict=strict) == expected
-            # Told a word list once, whichever path the text then takes.
-            assert verdicts == [True]
+            # Told a word list once, whichever path the text then takes, and
+            # once more by the memo read that places a strict error.
+            raised = isinstance(expected, tuple)
+            assert verdicts == ([True, True] if raised else [True])
             # The whole-text path rewrites no batch of words; placing a strict
-            # error rewrites every word of the text once.
+            # error rewrites every word of the text once, as one batch.
             whole = odd is None and name != "two first letters"
             words = len(split_words(unicodedata.normalize("NFC", text))) // 2
-            placed = [words] if isinstance(expected, tuple) else []
+            placed = [words] if raised else []
             assert (calls == placed) == whole, (strict, calls)
             assert (strict and name == "without q") == bool(placed)
             assert table._word_cache == {} and table._line_cache == {}
@@ -1151,7 +1173,7 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
 # ------------------------------------------------------------- strict mode
 # A table with a single-letter any rule for every rule letter writes only
 # Arabic letters for every word the engine cuts: its RuleSet._unmatched is
-# empty, so strict mode does not scan its outputs. A wider engine._WORD must
+# empty, so strict mode does not scan its outputs. A wider rules._WORD must
 # recompute it. Any other table is checked once per text, on the rewritten
 # text, whichever path made it.
 
@@ -1164,9 +1186,9 @@ def _table_with_initial_x():
 def test_every_one_letter_word_folds_to_rule_letters():
     # Each code point alone, and between two letters, where an apostrophe joins too.
     code_points = range(sys.maxunicode + 1)
-    words = [word for word in map(chr, code_points) if engine._WORD.fullmatch(word)]
+    words = [word for word in map(chr, code_points) if rules._WORD.fullmatch(word)]
     between = (f"a{chr(i)}a" for i in code_points)
-    words += [word for word in between if engine._WORD.fullmatch(word)]
+    words += [word for word in between if rules._WORD.fullmatch(word)]
     assert len(words) == 2 * len(KURDISH_LATIN_LETTERS) + len(APOSTROPHES)
     for word in words:
         assert LATIN_RULE_CHARS.issuperset(fold_word(word)), word
@@ -1257,6 +1279,53 @@ def test_strict_error_on_every_path(monkeypatch, path):
     paths = _paths(monkeypatch)
     assert outcome(transliterate_text, text, table, strict=True) == expected
     assert paths == ["words" if path == "short" else path]
+
+
+def _rewrite_calls(monkeypatch):
+    """The list of batches RuleSet._rewrite is given from now."""
+    calls = []
+    rewrite = RuleSet._rewrite
+
+    def recording_rewrite(self, words):
+        calls.append(words)
+        return rewrite(self, words)
+
+    monkeypatch.setattr(RuleSet, "_rewrite", recording_rewrite)
+    return calls
+
+
+def test_strict_error_after_a_plain_run_rewrites_no_word(monkeypatch):
+    # Distinct lines of prose, the last holding a q: a plain run fills the
+    # word memo, so placing the strict error reads every output from it.
+    table = _table_without_q()
+    rng = random.Random(31)
+    vocabulary = [word for word in _random_words(rng, 300) if "q" not in word]
+    lines = [" ".join(rng.choices(vocabulary, k=rng.randint(3, 8))) + "." for _ in range(400)]
+    lines[-1] = "Ew baqo mezin e."
+    text = "\n".join(lines)
+    assert len(text) >= engine._LONG_TEXT
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == ("q", 2, 400, 6)
+    assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
+    calls = _rewrite_calls(monkeypatch)
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert calls == []
+
+
+def test_strict_apostrophe_gaps_after_a_plain_run_rewrite_no_word(monkeypatch):
+    # Under the built-in table without its ' rule, a text joined from the line
+    # memo whose gaps hold an apostrophe alone: the strict check matches it,
+    # and finding that no word holds one reads the outputs from the word memo.
+    table = parse_rules(serialize_rules(default_rules()).replace("'\tany\tع\n", ""))
+    assert re.fullmatch(table._unmatched, "'")
+    text = "\n".join(["Ew got: ' min û tu diçin."] * 2000)
+    expected = naive_transliterate_text(text, table, EngineConfig())
+    assert transliterate_text(text, table) == expected
+    assert table._line_cache
+    calls = _rewrite_calls(monkeypatch)
+    for _ in range(2):
+        assert transliterate_text(text, table, strict=True) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("long", [False, True])

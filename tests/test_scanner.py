@@ -2,7 +2,8 @@
 
 A word is a maximal run of word characters that holds a letter; everything
 between words is a gap that only gets the symbol mapping. These tests split
-text with the engine's own word pattern and hold it to ``helpers.split_words``.
+text with the word pattern the engine splits by (``rules._WORD``) and hold it
+to ``helpers.split_words``.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hawar2sorani.alphabets import APOSTROPHES, KURDISH_LATIN_LETTERS, WORD_CHARS
-from hawar2sorani.engine import _WORD
+from hawar2sorani.rules import _WORD
 from helpers import split_words
 
 WORD, GAP = "word", "gap"
