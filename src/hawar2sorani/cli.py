@@ -167,9 +167,10 @@ def _config_from_args(args: argparse.Namespace) -> EngineConfig:
 
 # Batch size for streaming reads. readlines() returns whole lines, so memory
 # stays bounded by max(batch size, longest line), never by file size. The
-# engine holds every word of a prose batch as its own string at once, so 32 KB
-# keeps that small; a word list's batch it may fold and rewrite as one string
-# (see engine._rewrite_long). The per-batch cost is paid once per ~5,000 words.
+# word path holds every word of a prose batch as its own string at once, so
+# 32 KB keeps that small; a word list's batch may be folded and rewritten as one
+# string (see RuleSet._rewrite_words). The per-batch cost is paid once per
+# ~5,000 words.
 _BATCH_BYTES = 1 << 15
 
 

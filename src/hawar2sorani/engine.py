@@ -1,18 +1,13 @@
 """Transliteration engine: the text around the words.
 
 A word is a maximal run of word characters (``alphabets.WORD_CHARS``) that
-holds a letter. The word path splits a text into words and the gaps between
-them with ``rules._WORD``; the RuleSet gives every word's output in one call
-(it folds, memoizes and rewrites words), and the pieces are joined again. A long
-text whose every line is in the RuleSet's line memo is joined from it
-instead, and a long word list may be folded and rewritten as one string (see
-``_rewrite_long``). Every character outside a word gets the configured
-punctuation and digit mapping or passes through. The engine also places
-strict-mode errors, marks line-final full stops and returns NFC. No rule
-context crosses a word boundary and words never cross lines, so line-by-line
-processing gives byte-identical output to whole-text processing. A long text
-is normalized line by line, and only where the line memo misses, with the
-same result as whole-text NFC.
+holds a letter. The RuleSet replaces every word of a text with its output
+(``RuleSet._rewrite_words``, which also picks the text's path and keeps its
+memos). Every character outside a word then gets the configured punctuation
+and digit mapping or passes through. The engine also places strict-mode
+errors, marks line-final full stops and returns NFC. No rule context crosses
+a word boundary and words never cross lines, so line-by-line processing gives
+byte-identical output to whole-text processing.
 """
 
 import re
@@ -129,20 +124,11 @@ _LINE_FINAL_STOP = re.compile(r"\.(?=\r*$)", re.M)
 _STOP_WITH_RLM = "." + RLM
 
 
-# Shorter texts take the word path alone, which costs less per call: api-short's
-# 5,000 sentences take 3.5 us each on it and 6.5 us through _rewrite_long, which
-# keeps no one-line text (seed 101, best of 9).
-_LONG_TEXT = 4096
-
-
 def transliterate_text(
     text: str, rs: RuleSet, cfg: EngineConfig = DEFAULT_CONFIG, *, strict: bool = False
 ) -> str:
     """Transliterate arbitrary text, preserving line structure exactly."""
-    if len(text) < _LONG_TEXT:
-        out = _rewrite_words(unicodedata.normalize("NFC", text), rs)
-    else:
-        out = _rewrite_long(text, rs)
+    out = rs._rewrite_words(text)
     # Strict mode reads the rewritten text alone, whichever path or memo made it:
     # a letter of RuleSet._unmatched stood unmatched, in a word or in a gap.
     if strict and rs._unmatched and re.search(rs._unmatched, out):
@@ -154,42 +140,6 @@ def transliterate_text(
         out = _LINE_FINAL_STOP.sub(_STOP_WITH_RLM, out)
     # A word's output can compose with a combining mark after it.
     return unicodedata.normalize("NFC", out)
-
-
-def _rewrite_words(text: str, rs: RuleSet, word_list=None) -> str:
-    """The word path: ``text`` with each word replaced by its output."""
-    pieces = _WORD.split(text)
-    pieces[1::2] = rs._outputs(pieces[1::2], word_list)
-    return "".join(pieces)
-
-
-def _rewrite_long(text: str, rs: RuleSet) -> str:
-    """``text`` with each word replaced by its output: joined from the line
-    memo when it holds every line as given (its keys), else normalized line
-    by line. A word list (``RuleSet._is_word_list``) then fills neither
-    memo; it is folded and rewritten as one string, with no split into
-    words, where ``RuleSet._rewrite_text`` can. Any other text goes through
-    the word path, and the line memo keeps its lines if they repeat
-    (``RuleSet._keep_lines``).
-
-    A newline is a starter that composes with nothing, so the NFC lines join
-    to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
-    only its own line. Words and their outputs never hold a newline (rules
-    write only Arabic letters, and a character passed through is a word
-    character), so a rewritten text splits on newlines into the rewrites of
-    its lines, one for one.
-    """
-    lines = text.split("\n")
-    rewrites = rs._line_outputs(lines)
-    if rewrites is not None:
-        return "\n".join(rewrites)
-    text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
-    if rs._is_word_list(match[0] for match in _WORD.finditer(text)):
-        rewritten = rs._rewrite_text(text)
-        return _rewrite_words(text, rs, True) if rewritten is None else rewritten
-    rewritten = _rewrite_words(text, rs, False)
-    rs._keep_lines(lines, rewritten)
-    return rewritten
 
 
 def _strict_error(text: str, rs: RuleSet) -> None:

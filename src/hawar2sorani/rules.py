@@ -1,15 +1,15 @@
 """Rule model, word rewriting and rule-file format.
 
 A rule maps a short Latin pattern (one to three letters) to Persian-Arabic
-output under a positional condition. A RuleSet owns a word's rewrite: it
-compiles its rules once and memoizes each raw word's output (``_outputs``),
-and keeps the engine's second memo, of lines as given to their NFC form
-with the words rewritten (``_line_outputs``), filled only from a text whose
-lines repeat (``_keep_lines``); both memos share one size limit and one
-lock, which a fill or a clear takes, never a read. A batch whose first 512
-words are distinct and none in the word memo, such as a word list, is
-rewritten without filling either memo: its words would only push out words
-that do repeat.
+output under a positional condition. A RuleSet owns a text's rewrite: it
+compiles its rules once and picks each text's path (``_rewrite_words``): the
+word path, which memoizes each raw word's output (``_outputs``); the line
+memo, of lines as given to their NFC form with the words rewritten, filled
+only from a text whose lines repeat (``_keep_lines``); or a word list's text
+rewritten whole. Both memos share one size limit and one lock, which a fill
+or a clear takes, never a read. A batch whose first 512 words are distinct
+and none in the word memo, such as a word list, is rewritten without filling
+either memo: its words would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word holds),
 then one regular expression replaces every match of a longer or context rule,
@@ -17,9 +17,9 @@ left to right, and one ``str.replace`` per single-letter ``any`` rule maps
 each letter left over. Splitting on the newlines gives each word's output.
 A word list's text can also be folded and rewritten whole (``_rewrite_text``),
 its gaps left in place. Every word and gap pattern is stated here: ``_WORD``,
-which the engine splits text with, the word boundary ``_GAP`` and the word
-list's gates. ``_compile`` is the one place that states which rule wins, why
-the two steps agree with it, and why the boundaries keep the words apart.
+which splits a text into words and gaps, the word boundary ``_GAP`` and the
+word list's gates. ``_compile`` is the one place that states which rule wins,
+why the two steps agree with it, and why the boundaries keep the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
 
@@ -168,10 +168,7 @@ class Rule(_Value):
         if len(output) > 3:
             raise OutputTooLong(f"output {output!r} is longer than three characters")
         _check_chars(output, ARABIC_LETTERS, "output")
-        set_attribute = object.__setattr__  # _set_fields' loop, unrolled: tables build many
-        set_attribute(self, "pattern", pattern)
-        set_attribute(self, "context", context)
-        set_attribute(self, "output", output)
+        self._set_fields(pattern, context, output)
 
 
 _OTHER_APOSTROPHES = tuple(sorted(APOSTROPHES - {CANONICAL_APOSTROPHE}))
@@ -217,14 +214,21 @@ _APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
 # list fills nothing (see _UNIQUE_BATCH). The line memo has the same limit and
 # the same clear.
 _CACHE_LIMIT = 1 << 17
+# Shorter texts take the word path alone (RuleSet._rewrite_words): there the
+# other two paths cost more than they save. The line memo misses every one-line
+# text, as _keep_lines keeps none, and a word list needs _UNIQUE_BATCH words.
+# Through the long path's probe, per-line NFC, verdict and keep test, api-short's
+# 5,000 sentences take 6.6-7.0 us each, against 3.5 us on the word path (seed
+# 101, best of 9, one process on 2 vCPUs).
+_LONG_TEXT = 4096
 # Longer lines are never kept in the line memo, which bounds each entry. On
 # seed 101 the longest line that repeats as given has 56 characters on
 # repeat-block and 24 on strict-lines, and unique-words repeats no line.
 _LONGEST_LINE = 64
 # A batch whose first this many words are distinct and none in the memo is a
 # word list (RuleSet._is_word_list), rewritten without hashing its other words
-# or filling the memo, even if a later word repeats; the engine folds and
-# rewrites the text of one whole when it can (RuleSet._rewrite_text). Prose
+# or filling the memo, even if a later word repeats; a long text of one is
+# folded and rewritten whole where it can be (RuleSet._rewrite_text). Prose
 # never starts such a batch: in the benchmark's repeat-block and strict-lines
 # texts (seeds 101 and 523) the longest run of words with no repeat is 31-33
 # words, and api-short's sentences have 2-9. Every 32 KB CLI batch of
@@ -332,10 +336,10 @@ class RuleSet(_Value):
     """Ordered, validated rule collection plus a whole-word exception lexicon.
 
     Immutable but for two private memos, which only a fill or a clear locks:
-    words to their outputs (``_outputs``), and lines as given to their NFC
-    form with the words rewritten (``_line_outputs``, ``_keep_lines``); safe
-    to share across threads. Construction validates the table as a whole and
-    compiles it (see ``_compile`` for the precedence policy).
+    words to their outputs, and lines as given to their NFC form with the
+    words rewritten (see ``_rewrite_words``); safe to share across threads.
+    Construction validates the table as a whole and compiles it (see
+    ``_compile`` for the precedence policy).
     """
 
     __match_args__ = ("rules", "exceptions", "latin_vowels", "version")
@@ -383,18 +387,58 @@ class RuleSet(_Value):
         set_attribute(self, "_line_cache", {})
         set_attribute(self, "_word_lock", threading.Lock())
 
-    def _outputs(self, words: list, word_list=None) -> list:
+    def _rewrite_words(self, text: str) -> str:
+        """``text`` in NFC with each word replaced by its output.
+
+        A text shorter than ``_LONG_TEXT`` takes the word path: it is split
+        into words and gaps with ``_WORD``, ``_outputs`` gives the words'
+        outputs, and the pieces are joined again. A longer text is joined from
+        the line memo when it holds every line as given (its keys), else
+        normalized line by line. A word list (``_is_word_list``) then fills
+        neither memo: it is folded and rewritten as one string where
+        ``_rewrite_text`` can, else its words go to ``_rewrite``. Any other
+        text takes the word path, and the line memo keeps its lines if they
+        repeat (``_keep_lines``).
+
+        A newline is a starter that composes with nothing, so the NFC lines join
+        to the NFC of the whole text; an NFD letter makes ``normalize`` rewrite
+        only its own line. Words and their outputs never hold a newline (rules
+        write only Arabic letters, and a character passed through is a word
+        character), so a rewritten text splits on newlines into the rewrites of
+        its lines, one for one.
+        """
+        if len(text) < _LONG_TEXT:
+            pieces = _WORD.split(unicodedata.normalize("NFC", text))
+            pieces[1::2] = self._outputs(pieces[1::2])
+            return "".join(pieces)
+        lines = text.split("\n")
+        try:
+            return "\n".join(map(self._line_cache.__getitem__, lines))
+        except KeyError:  # a line missing, or a read that raced another thread's clear
+            pass
+        text = "\n".join([unicodedata.normalize("NFC", line) for line in lines])
+        word_list = self._is_word_list(match[0] for match in _WORD.finditer(text))
+        if word_list and (rewritten := self._rewrite_text(text)) is not None:
+            return rewritten
+        pieces = _WORD.split(text)
+        pieces[1::2] = (self._rewrite if word_list else self._outputs)(pieces[1::2])
+        rewritten = "".join(pieces)
+        if not word_list:
+            self._keep_lines(lines, rewritten)
+        return rewritten
+
+    def _outputs(self, words: list) -> list:
         """The output of each raw word.
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the batch is a word list (``word_list`` if given, else ``_is_word_list``):
-        its words are not memoized, as none would hit.
+        the batch is a word list (``_is_word_list``): its words are not
+        memoized, as none would hit.
         """
         try:  # every word a hit: no Python code runs per word
             return list(map(self._word_cache.__getitem__, words))
         except KeyError:  # a miss, or a read that raced another thread's clear
             pass
-        if word_list or word_list is None and self._is_word_list(words):
+        if self._is_word_list(words):
             return self._rewrite(words)  # no word of it would hit
         # Under the lock no other thread's clear lands between this fill and its reads.
         with self._word_lock:
@@ -424,13 +468,6 @@ class RuleSet(_Value):
                 return False
             seen.add(word)
         return len(seen) == _UNIQUE_BATCH
-
-    def _line_outputs(self, lines: list):
-        """The memoized rewrite of each line of text, or None if one is missing."""
-        try:
-            return list(map(self._line_cache.__getitem__, lines))
-        except KeyError:
-            return None
 
     def _keep_lines(self, lines: list, rewritten: str) -> None:
         """Memoize a text's lines as given with the words of their NFC forms

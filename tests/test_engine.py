@@ -1,3 +1,4 @@
+import ast
 import io
 import itertools
 import multiprocessing
@@ -9,6 +10,7 @@ import threading
 import types
 import unicodedata
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -63,6 +65,9 @@ def test_fold_apostrophe_canonicalized():
 
 def test_fold_composes_nfc():
     assert fold_word("ḧ") == "ḧ"  # h + diaeresis -> ḧ
+    # H + macron below has no composed form; h + macron below composes to
+    # ẖ, so only the NFC after lowering gives it.
+    assert fold_word("H̱") == "ẖ"
 
 
 def test_batched_fold_equals_fold_word_on_every_code_point(monkeypatch):
@@ -670,7 +675,7 @@ def test_memo_reads_take_no_lock(monkeypatch):
 
 
 # -------------------------------------------------------------- line memo
-# A text of engine._LONG_TEXT characters or more whose every line is in the
+# A text of rules._LONG_TEXT characters or more whose every line is in the
 # RuleSet's line memo is joined from it.
 
 _TINY_TABLE = "b\tany\tب\na\tany\tا\nn\tany\tن"
@@ -679,7 +684,7 @@ _TINY_TABLE = "b\tany\tب\na\tany\tا\nn\tany\tن"
 def _long(block: str) -> str:
     """``block`` repeated on lines of its own, past the length threshold and
     at least twice, so a fresh RuleSet's first call fills its line memo."""
-    repeats = max(2, engine._LONG_TEXT // len(block) + 1)
+    repeats = max(2, rules._LONG_TEXT // len(block) + 1)
     return "\n".join([block] * repeats)
 
 
@@ -688,16 +693,27 @@ def _table_without_q():
     return parse_rules(serialize_rules(default_rules()).replace("q\tany\tق\n", ""))
 
 
+class _RecordedSplits:
+    """``rules._WORD`` but for a ``split`` that records each text it splits."""
+
+    def __init__(self, pattern, texts):
+        self.pattern, self.texts = pattern, texts
+
+    def split(self, text):
+        self.texts.append(text)
+        return self.pattern.split(text)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
 def _word_path_texts(monkeypatch):
-    """The list of texts the engine sends through the word path from now."""
+    """The list of texts RuleSet._rewrite_words sends through the word path
+    from now: the NFC texts it splits into words and gaps. Placing a strict
+    error splits too, through the engine's own name for the pattern, which
+    this does not record."""
     texts = []
-    rewrite_words = engine._rewrite_words
-
-    def recording_rewrite_words(text, *args):
-        texts.append(text)
-        return rewrite_words(text, *args)
-
-    monkeypatch.setattr(engine, "_rewrite_words", recording_rewrite_words)
+    monkeypatch.setattr(rules, "_WORD", _RecordedSplits(rules._WORD, texts))
     return texts
 
 
@@ -767,7 +783,7 @@ def test_long_text_strict_after_non_strict_run(monkeypatch):
     clean = _long(block)
     assert transliterate_text(clean, tiny) == naive_transliterate_text(clean, tiny, EngineConfig())
     text = "\n".join([block] * 100 + ["ban\nna baq ban"] + [block] * 100)
-    assert len(text) >= engine._LONG_TEXT
+    assert len(text) >= rules._LONG_TEXT
     assert [line for line in text.split("\n") if line not in tiny._line_cache] == ["na baq ban"]
     expected = outcome(naive_transliterate_text, text, tiny, EngineConfig(), strict=True)
     assert expected == ("q", 2, 302, 6)
@@ -865,7 +881,7 @@ def test_distinct_lines_are_not_kept_past_a_warm_word_memo(monkeypatch):
     data = text.encode("utf-8")
     source = io.BytesIO(data)
     batches = [b"".join(lines) for lines in iter(lambda: source.readlines(cli._BATCH_BYTES), [])]
-    assert sum(len(batch.decode()) >= engine._LONG_TEXT for batch in batches) >= 6
+    assert sum(len(batch.decode()) >= rules._LONG_TEXT for batch in batches) >= 6
     table, sink = default_rules(), io.BytesIO()
     cli._stream(io.BytesIO(data), sink, table, EngineConfig(), False)
     assert sink.getvalue() == expected.encode("utf-8")
@@ -884,12 +900,37 @@ def test_blank_lines_between_distinct_lines_are_not_repeats(separator):
         if len(line) <= rules._LONGEST_LINE:
             lines.add(line)
     text = separator.join(sorted(lines))
-    assert len(text) >= engine._LONG_TEXT
+    assert len(text) >= rules._LONG_TEXT
     table = default_rules()
     transliterate_text(" ".join(vocabulary), table)
     expected = naive_transliterate_text(text, table, EngineConfig())
     assert transliterate_text(text, table) == expected
     assert table._line_cache == {}
+
+
+def test_long_text_of_one_line_fills_only_the_word_memo(monkeypatch):
+    # A paragraph per line, as corpora store text: one line past the length
+    # threshold whose words repeat. It takes the word path and its words fill
+    # the word memo; the line memo never keeps a one-line text. Without the q
+    # rule, the one word holding a q is unmatched.
+    rng = random.Random(37)
+    vocabulary = [word for word in _random_words(rng, 80) if "q" not in word]
+    sentences = []
+    while sum(map(len, sentences)) < rules._LONG_TEXT:
+        words = rng.choices(vocabulary, k=rng.randint(4, 12))
+        sentences.append(" ".join(words).capitalize() + rng.choice([".", ",", "?"]))
+    sentences[-3] = "Ew baqo mezin e."
+    paragraph = " ".join(sentences)
+    assert len(paragraph) >= rules._LONG_TEXT and "\n" not in paragraph
+    words = set(split_words(paragraph)[1::2])
+    paths = _paths(monkeypatch)
+    for table in (default_rules(), _table_without_q()):
+        for strict in (False, True):
+            expected = outcome(naive_transliterate_text, paragraph, table, EngineConfig(), strict)
+            assert outcome(transliterate_text, paragraph, table, strict=strict) == expected
+            assert table._line_cache == {} and set(table._word_cache) == words
+    assert expected == ("q", 2, 1, paragraph.index("baqo") + 3)
+    assert paths == ["words"] * 4
 
 
 class _CountedClears(dict):
@@ -969,7 +1010,7 @@ def test_later_batches_are_joined_from_the_line_memo(monkeypatch):
     # enough for the memo.
     starts = [batch.partition(" ")[0] for batch in batches]
     assert starts == ["Gelî", "Se'îd", "Çiya", "Birrîn,", "Gelî"]
-    assert min(map(len, batches)) >= engine._LONG_TEXT
+    assert min(map(len, batches)) >= rules._LONG_TEXT
     runs = [
         (EngineConfig(), False),
         (EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True), True),
@@ -1007,7 +1048,7 @@ def test_long_batch_of_distinct_words_fills_no_memo(count):
     words = _random_words(random.Random(count), count)
     text = _word_list(words)
     # The shorter text takes the word path alone, the longer the line memo's path.
-    assert (len(text) >= engine._LONG_TEXT) == (count == 3000)
+    assert (len(text) >= rules._LONG_TEXT) == (count == 3000)
     table = default_rules()
     configs = (EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True))
     for config in configs:
@@ -1031,6 +1072,19 @@ def test_long_batch_of_distinct_words_strict_error_position():
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
     assert outcome(transliterate_text, text, table, strict=True) == expected
     assert table._word_cache == {}
+
+
+def test_long_word_list_of_one_line_is_rewritten_whole(monkeypatch):
+    words = _random_words(random.Random(41), 700)
+    text = " ".join(words)
+    assert len(text) >= rules._LONG_TEXT and "\n" not in text
+    table = default_rules()
+    expected = naive_transliterate_text(text, table, EngineConfig())
+    paths = _paths(monkeypatch)
+    for strict in (False, True):
+        assert transliterate_text(text, table, strict=strict) == expected
+    assert paths == ["whole"] * 2
+    assert table._word_cache == {} and table._line_cache == {}
 
 
 def test_one_repeat_or_memo_hit_fills_the_memo():
@@ -1135,7 +1189,7 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
     source = _WORD_LIST_TABLES[name]
     exceptions = ["ba", "baba", "bû", "û", "Û", "BA", "Baba"]
     text = _varied_word_list(random.Random(seed), odd, exceptions)
-    assert len(text) >= engine._LONG_TEXT
+    assert len(text) >= rules._LONG_TEXT
     calls, verdicts = [], []
     rewrite, is_word_list = RuleSet._rewrite, RuleSet._is_word_list
 
@@ -1231,28 +1285,26 @@ def test_letter_with_only_an_initial_rule_strict_error_position():
 
 
 def _paths(monkeypatch):
-    """The list of paths the engine rewrites texts by from now: "words",
-    "whole" (a word list folded whole) or "memo" (joined from the line memo)."""
-    paths = []
-    rewrite_words, rewrite_text = engine._rewrite_words, RuleSet._rewrite_text
-    line_outputs = RuleSet._line_outputs
+    """The list of paths RuleSet._rewrite_words rewrites texts by from now:
+    "words", "whole" (a word list folded whole) or "memo" (joined from the
+    line memo: a call that took neither of the other two)."""
+    paths, split, whole = [], _word_path_texts(monkeypatch), []
+    rewrite_words, rewrite_text = RuleSet._rewrite_words, RuleSet._rewrite_text
 
-    def recording_rewrite_words(*args):
-        paths.append("words")
-        return rewrite_words(*args)
+    def recording_rewrite_text(self, text):
+        result = rewrite_text(self, text)
+        whole.append(result is not None)
+        return result
 
-    def recording(path, method):
-        def record(self, *args):
-            result = method(self, *args)
-            if result is not None:
-                paths.append(path)
-            return result
+    def recording_rewrite_words(self, text):
+        split.clear()
+        whole.clear()
+        result = rewrite_words(self, text)
+        paths.append("words" if split else "whole" if any(whole) else "memo")
+        return result
 
-        return record
-
-    monkeypatch.setattr(engine, "_rewrite_words", recording_rewrite_words)
-    monkeypatch.setattr(RuleSet, "_rewrite_text", recording("whole", rewrite_text))
-    monkeypatch.setattr(RuleSet, "_line_outputs", recording("memo", line_outputs))
+    monkeypatch.setattr(RuleSet, "_rewrite_text", recording_rewrite_text)
+    monkeypatch.setattr(RuleSet, "_rewrite_words", recording_rewrite_words)
     return paths
 
 
@@ -1271,7 +1323,7 @@ def test_strict_error_on_every_path(monkeypatch, path):
         lines = ["Xwezî min û tu li Kurdistanê bin, ne wisa?", "Çiya bilind in."] * 150
         lines[201] = "Ew baqo mezin e."
         text, position = "\n".join(lines), ("q", 2, 202, 6)
-    assert (len(text) >= engine._LONG_TEXT) == (path != "short")
+    assert (len(text) >= rules._LONG_TEXT) == (path != "short")
     expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
     assert expected == position
     if path == "memo":
@@ -1303,7 +1355,7 @@ def test_strict_error_after_a_plain_run_rewrites_no_word(monkeypatch):
     lines = [" ".join(rng.choices(vocabulary, k=rng.randint(3, 8))) + "." for _ in range(400)]
     lines[-1] = "Ew baqo mezin e."
     text = "\n".join(lines)
-    assert len(text) >= engine._LONG_TEXT
+    assert len(text) >= rules._LONG_TEXT
     expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
     assert expected == ("q", 2, 400, 6)
     assert transliterate_text(text, table) == naive_transliterate_text(text, table, EngineConfig())
@@ -1345,7 +1397,7 @@ def test_strict_mode_passes_an_apostrophe_gap(monkeypatch, long):
 
 
 # ----------------------------------------------------------- normalization
-# A shorter text is normalized whole. A text of engine._LONG_TEXT characters or
+# A shorter text is normalized whole. A text of rules._LONG_TEXT characters or
 # more is normalized line by line, and only when the line memo, keyed on the
 # lines as given, misses one of them.
 
@@ -1353,14 +1405,20 @@ _KURDISH_MARKS = ("\u0302", "\u0308", "\u0327")
 
 
 def _normalized(monkeypatch):
-    """The list of texts the engine passes to unicodedata.normalize from now."""
+    """The list of texts the engine and RuleSet._rewrite_words pass to
+    unicodedata.normalize from now; fold_word's two calls per batch are not
+    recorded."""
     texts = []
+    fold_code = fold_word.__code__
 
     def recording_normalize(form, text):
-        texts.append(text)
+        if sys._getframe(1).f_code is not fold_code:
+            texts.append(text)
         return unicodedata.normalize(form, text)
 
-    monkeypatch.setattr(engine, "unicodedata", types.SimpleNamespace(normalize=recording_normalize))
+    recording = types.SimpleNamespace(normalize=recording_normalize)
+    monkeypatch.setattr(engine, "unicodedata", recording)
+    monkeypatch.setattr(rules, "unicodedata", recording)
     return texts
 
 
@@ -1385,8 +1443,8 @@ def test_both_normalization_paths_match_oracle(block, long):
     # end of it lands at a line start or end. One fresh table per example; the
     # plain call may fill its line memo before the strict one.
     table = _table_without_q()
-    text = "\n".join([block] * (engine._LONG_TEXT // len(block) + 1)) if long else block
-    assert (len(text) >= engine._LONG_TEXT) == long
+    text = "\n".join([block] * (rules._LONG_TEXT // len(block) + 1)) if long else block
+    assert (len(text) >= rules._LONG_TEXT) == long
     plain, marked = EngineConfig(), EngineConfig(digit_mode=DigitMode.ARABIC_INDIC, emit_rlm=True)
     for config, strict in ((plain, False), (marked, True), (plain, True)):
         expected = outcome(naive_transliterate_text, text, table, config, strict=strict)
@@ -1396,7 +1454,7 @@ def test_both_normalization_paths_match_oracle(block, long):
 def test_long_text_mark_starting_a_line_stays_uncomposed(monkeypatch):
     table = default_rules()  # its line memo is empty
     text = "\n".join(["min û tu", "e", "\u0302 bav"] * 300)
-    assert len(text) >= engine._LONG_TEXT
+    assert len(text) >= rules._LONG_TEXT
     normalized = _normalized(monkeypatch)
     out = transliterate_text(text, table)
     assert len(normalized) == text.count("\n") + 2  # line by line
@@ -1460,3 +1518,30 @@ def test_long_dirty_text_strict_error_column(monkeypatch):
     normalized.clear()
     assert outcome(transliterate_text, text, table, strict=True) == expected
     assert normalized == [text]  # joined from the line memo, then placed
+
+
+# ---------------------------------------------------------- module boundary
+# Which path a text takes and how the memos are kept is decided in rules.py:
+# the engine rewrites a text with one RuleSet call and places strict errors
+# with three more names.
+
+
+def test_engine_reads_a_small_private_rule_set_surface():
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    table = default_rules()
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and hasattr(table, node.attr)
+        and not hasattr(rules._Value, node.attr)
+    }
+    assert private == {"_rewrite_words", "_unmatched", "_outputs", "_first_unmatched"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "rules"
+        for alias in node.names
+    }
+    assert imported == {"RuleSet", "_Value", "_WORD"}
