@@ -12,13 +12,14 @@ and none in the word memo, such as a word list, is rewritten without filling
 either memo: its words would only push out words that do repeat.
 The words of a batch that miss travel as one string: folded in one pass
 (``fold_word`` over the words joined with newlines, which no word holds),
-then one regular expression replaces every match of a longer or context rule,
-left to right, and one ``str.replace`` per single-letter ``any`` rule maps
-each letter left over. Splitting on the newlines gives each word's output.
-A word list's text can also be folded and rewritten whole (``_rewrite_text``),
-its gaps left in place. Every word and gap pattern is stated here: ``_WORD``,
-which splits a text into words and gaps, the word boundary ``_GAP`` and the
-word list's gates. ``_compile`` is the one place that states which rule wins,
+then one regular expression replaces every whole-word exception and every
+match of a longer or context rule, left to right, and one ``str.replace`` per
+single-letter ``any`` rule maps each letter left over. Splitting on the
+newlines gives each word's output. A word list's text can also be folded and
+rewritten whole (``_rewrite_text``), its gaps left in place, under any table.
+Every word and gap pattern is stated here: ``_WORD``, which splits a text
+into words and gaps, the word boundary ``_GAP`` and the word list's gates.
+``_compile`` is the one place that states which exception word or rule wins,
 why the two steps agree with it, and why the boundaries keep the words apart.
 
 Rule files are plain UTF-8 text, one rule per line:
@@ -194,18 +195,21 @@ _WORD = re.compile(
         letters=char_class(KURDISH_LATIN_LETTERS),
     )
 )
-# Word boundaries, as a class body: every ASCII character that is not a word
-# character. A batch of folded words is joined with "\n", one of them; no folded
-# word holds one. Step 1 puts the class in its initial and final checks and its
-# guards, and like every class of step 1 it stays in Latin-1: a class past U+00FF
-# costs about 0.1 ms more compile each time it appears. So a word list's text is folded and
-# rewritten whole (_rewrite_text) only where every gap is made of these. Its gates
-# refuse a character that is neither ASCII nor a word character (about 6 ms per
-# MB), and a run of apostrophes alone, which is a gap (about 1 ms per MB, on the
-# fold). Pattern strings: re compiles each on first use, so a run that meets no
-# word list skips their 0.4 ms of compile.
-_GAP = char_class(char for char in map(chr, range(128)) if char not in WORD_CHARS)
-_NOT_ASCII_OR_WORD = f"[^{char_class(WORD_CHARS.union(map(chr, range(128))))}]"
+# Word boundaries, as a class body: every Latin-1 character that is no word
+# character and that the fold leaves as it is (not an upper-case letter such as
+# À). A batch of folded words is joined with "\n", one of them, which no folded
+# word holds. Step 1 puts the class in its initial and final checks and its
+# guards; like every class of step 1 it stays in Latin-1, as a class past U+00FF
+# costs about 0.1 ms more compile each time it appears. So a word list's text is
+# folded and rewritten whole (_rewrite_text) only where every gap is made of
+# these: its gates refuse any other character that is no word character (about
+# 5 ms per MB) and a run of apostrophes alone, which is a gap (about 1 ms per MB,
+# on the fold). Pattern strings: re compiles each on first use, so a run that
+# meets no word list skips their 0.4 ms of compile.
+_GAP = char_class(
+    char for char in map(chr, range(256)) if char not in WORD_CHARS and fold_word(char) == char
+)
+_NOT_GAP_OR_WORD = f"[^{_GAP}{char_class(WORD_CHARS)}]"
 _APOSTROPHES_ALONE = f"'(?<![^{_GAP}]')'*(?![^{_GAP}])"
 
 # Word outputs memoized per RuleSet, keyed on the raw word text so repeats
@@ -238,11 +242,12 @@ _LONGEST_LINE = 64
 _UNIQUE_BATCH = 512
 
 
-def _compile(rules: tuple, vowels: frozenset) -> tuple:
-    """The two rewrite steps of a table.
+def _compile(rules: tuple, vowels: frozenset, exceptions) -> tuple:
+    """The two rewrite steps of a table and its whole-word exceptions.
 
-    Precedence: at every position the longest pattern wins, then a rule whose
-    context holds beats ``any``, then the earlier rule.
+    Precedence: a whole-word exception beats every rule. Elsewhere, at every
+    position the longest pattern wins, then a rule whose context holds beats
+    ``any``, then the earlier rule.
 
     Both steps run over folded words with a boundary, a ``_GAP`` character,
     between any two: a batch of words joined by newlines, or a word list's
@@ -252,16 +257,22 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
     than a boundary", word-final "not before one": on a lone word, the start
     and the end of the string.
 
-    Step 1 is one regex alternation over every rule but the single-letter
-    ``any`` ones, grouped by first letter (no two first letters match at one
-    position) and ranked by precedence, so ``re`` takes the first alternative
-    that matches. Each is the rule's pattern, a lookaround for its context and
-    an empty group, so ``match.lastindex`` names the winner. ``re`` skips in C
-    where no group's letter stands. A group of two or more ``initial`` or
-    ``after_vowel`` rules has a guard, a lookbehind rejecting the letter after
-    anything but a boundary or a vowel: a vowel after a consonant fails one
-    check, not two. Past it, a rule with the pattern of an earlier rule needs
-    no check: it is reached only where that rule, of the other context, fails.
+    Step 1 is one regex alternation over the exception words and every rule
+    but the single-letter ``any`` ones, grouped by first letter (no two first
+    letters match at one position) and ranked by precedence, so ``re`` takes
+    the first alternative that matches. A group's exception words come first,
+    behind one word-initial check, each its rest and a word-final check, so
+    one matches a whole folded word; each rule is its pattern and a
+    lookaround for its context. Each ends in an empty group, so
+    ``match.lastindex`` names the winner. ``re`` skips in C where no group's
+    letter stands: an exception word whose first letter begins no rule of
+    step 1 makes it stop at that letter everywhere. A group of two or more
+    ``initial`` or ``after_vowel`` rules has a guard, a lookbehind rejecting
+    the letter after anything but a boundary or a vowel: a vowel after a
+    consonant fails one check, not two. Past it, a rule with the pattern of
+    an earlier rule needs no check: it is reached only where that rule, of
+    the other context, fails. The guard passes every exception word, which
+    is word-initial, and only the rules decide whether a group has one.
 
     Step 2 is one ``str.replace`` per single-letter ``any`` rule (a
     ``str.translate`` table would raise and clear a ``KeyError`` for each
@@ -289,47 +300,33 @@ def _compile(rules: tuple, vowels: frozenset) -> tuple:
         Context.AFTER_VOWEL: f"(?<=[{vowel_class}]{{0}})" if vowels else "(?!)",
         Context.WORD_FINAL: f"(?![^{_GAP}])",
     }
-    letters, groups = {}, {}
+    letters, groups, words = {}, {}, {}
     for order, rule in enumerate(rules):
         if len(rule.pattern) == 1 and rule.context is anywhere:
             letters[rule.pattern] = rule.output
         else:
             key = (-len(rule.pattern), rule.context is anywhere, order, rule)
             groups.setdefault(rule.pattern[0], []).append(key)
-    branches, guardable = [], (Context.WORD_INITIAL, Context.AFTER_VOWEL)
-    for first, keyed in groups.items():
-        group = groups[first] = [rule for *_, rule in sorted(keyed)]  # no Rule is compared
+    for word, output in exceptions.items():
+        words.setdefault(word[0], []).append((word[1:], output))
+    branches, outputs, guardable = [], [None], (Context.WORD_INITIAL, Context.AFTER_VOWEL)
+    for first in dict.fromkeys([*groups, *words]):
+        group = [rule for *_, rule in sorted(groups.get(first, ()))]  # no Rule is compared
         guarded = len(group) > 1 and all(rule.context in guardable for rule in group)
         seen, alternatives = set(), []
+        if first in words:
+            ends = "|".join(rest + checks[Context.WORD_FINAL] + "()" for rest, _ in words[first])
+            alternatives.append(checks[Context.WORD_INITIAL].format(first) + f"(?:{ends})")
+            outputs += [output for _, output in words[first]]
         for rule in group:
             check = "" if guarded and rule.pattern in seen else checks[rule.context]
             alternatives.append(rule.pattern[1:] + check.format(rule.pattern) + "()")
             seen.add(rule.pattern)
+            outputs.append(rule.output)
         guard = f"(?<![^{_GAP}{vowel_class}]{first})" if guarded else ""
         body = "|".join(alternatives)
-        branches.append(f"{first}{guard}(?:{body})" if len(group) > 1 else first + body)
-    regex = re.compile("|".join(branches) or "(?!)")
-    outputs = (None,) + tuple(rule.output for group in groups.values() for rule in group)
-    return regex, outputs, letters
-
-
-def _exception_pattern(words):
-    """The exception words as one regex pattern over a word list's text folded
-    whole, or None unless they all begin with one letter.
-
-    Each word is its literal, then a boundary check on each side, as step 1
-    checks context: ``û(?<![^GAP]û)(?![^GAP])``. Longest first, though at most
-    one word can match at a position: a match is a whole folded word. ``re``
-    factors the one first letter out and skips to it in C. Words of two first
-    letters make it stop at every letter of a class instead, so such a table
-    keeps the word path (per MB of folded word list: ``û`` 1.7 ms, ``ku`` and
-    ``û`` 8.6 ms, 1,000 random words 3.8 s). A pattern string, which ``re``
-    compiles on first use: a run that meets no word list skips the compile.
-    """
-    if len({word[0] for word in words}) != 1:
-        return None
-    longest_first = sorted(words, key=len, reverse=True)
-    return "|".join(f"{w}(?<![^{_GAP}]{w})(?![^{_GAP}])" for w in longest_first)
+        branches.append(f"{first}{guard}(?:{body})" if len(alternatives) > 1 else first + body)
+    return re.compile("|".join(branches) or "(?!)"), tuple(outputs), letters
 
 
 class RuleSet(_Value):
@@ -371,7 +368,7 @@ class RuleSet(_Value):
             _check_chars(output, ARABIC_LETTERS, "exception output", entry=word)
         self._set_fields(rules, exceptions, vowels, version)
         set_attribute = object.__setattr__
-        regex, outputs, letters = _compile(rules, vowels)
+        regex, outputs, letters = _compile(rules, vowels, exceptions)
         set_attribute(self, "_regex", regex)
         set_attribute(self, "_group_output", lambda match: outputs[match.lastindex])
         set_attribute(self, "_letters", letters)
@@ -380,8 +377,6 @@ class RuleSet(_Value):
         # unmatched. A pattern string; "" where none can (the built-in table).
         unmatched = char_class(LATIN_RULE_CHARS.difference(letters))
         set_attribute(self, "_unmatched", unmatched and f"[{unmatched}]")
-        set_attribute(self, "_exception_outputs", frozenset(map(self._apply, exceptions)))
-        set_attribute(self, "_exception_pattern", _exception_pattern(exceptions))
         # The word memo of _outputs, the line memo and their one lock.
         set_attribute(self, "_word_cache", {})
         set_attribute(self, "_line_cache", {})
@@ -490,42 +485,30 @@ class RuleSet(_Value):
     def _rewrite(self, words: list) -> list:
         """The output of each raw word of a batch, which travels as one string.
 
-        One ``fold_word`` pass over the words joined with newlines, one regex
-        pass, one ``str.replace`` per single-letter ``any`` rule, one split.
-        No word holds a newline; NFC never composes or reorders across one,
-        and ``str.lower`` sees it as neither cased nor case-ignorable, so it
-        also bounds final sigma: each line folds alone. An exception word is
-        its own fold, and a rule output depends only on the fold, so only a
-        batch with an output in ``_exception_outputs`` (theirs) can hold one.
+        One ``fold_word`` pass over the words joined with newlines, steps 1
+        and 2 of ``_compile`` (``_apply``), one split. No word holds a
+        newline; NFC never composes or reorders across one, and ``str.lower``
+        sees it as neither cased nor case-ignorable, so it also bounds final
+        sigma: each line folds alone, and step 1 finds an exception word on
+        its own line.
         """
         if not words:
             return []
-        folded = fold_word("\n".join(words))
-        outputs = self._apply(folded).split("\n")
-        if self._exception_outputs.isdisjoint(outputs):
-            return outputs
-        return list(map(self.exceptions.get, folded.split("\n"), outputs))
+        return self._apply(fold_word("\n".join(words))).split("\n")
 
     def _rewrite_text(self, text: str):
         """``text``, a word list in NFC, folded whole with each word replaced
-        by its output; or None where the table's exception words do not all
-        begin with one letter (``_exception_pattern``) or the text fails the
-        gates at ``_GAP``.
+        by its output; or None where the text fails the gates at ``_GAP``.
 
         Past the gates, every gap is made of ``_GAP`` characters, which the
-        fold leaves as they are, so the words are the runs between them.
-        Exception words first, as they win over the rules; their outputs are
-        Arabic letters, which steps 1 and 2 leave alone, and a gap on each
-        side still bounds the words around them.
+        fold leaves as they are, so the words are the runs between them and
+        ``_apply`` rewrites them as it rewrites a batch, whatever the table.
         """
-        exceptions, pattern = self.exceptions, self._exception_pattern
-        if pattern is None and exceptions or re.search(_NOT_ASCII_OR_WORD, text):
+        if re.search(_NOT_GAP_OR_WORD, text):
             return None
         folded = fold_word(text)
         if re.search(_APOSTROPHES_ALONE, folded):
             return None
-        if pattern is not None:
-            folded = re.sub(pattern, lambda match: exceptions[match[0]], folded)
         return self._apply(folded)
 
     def _apply(self, folded: str) -> str:

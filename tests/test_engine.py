@@ -1134,9 +1134,9 @@ def test_short_batches_of_distinct_words_fill_the_memo():
 
 
 # A word list's text, once its words are told a list, is folded and rewritten
-# as one string when every character is ASCII or a word character, no run of
-# apostrophes stands alone and the table's exception words share a first
-# letter, strict or not; otherwise it takes the word path.
+# as one string when every character is a word character or a gap character
+# (rules._GAP) and no run of apostrophes stands alone, whatever the table,
+# strict or not; otherwise it takes the word path.
 
 _BUILT_IN_RULES = serialize_rules(default_rules())
 _WORD_LIST_TABLES = {
@@ -1146,11 +1146,13 @@ _WORD_LIST_TABLES = {
     + "ba\tword\tق\nbaba\tword\t∅\nbû\tword\tو\n",
     "two first letters": _BUILT_IN_RULES + "ba\tword\tق\n",
 }
-# Gaps between words, and one odd gap that sends the text down the word path.
+# Gaps between words, and one odd gap: a Latin-1 one the fold leaves as it is
+# keeps the whole-text path, any other sends the text down the word path.
 _LIST_GAPS = [" ", " ", " ", ", ", ". ", "\n", "\r\n", " 1984 ", "_", "-", "; ", "? ", "!"]
 _LIST_GAPS += [" (", ") ", '"', "#", "{", "}", "/", "@", "~", "`", "[", "]", "\\", "|", "<", "="]
 _LIST_GAPS += ["*", "%", "&", "^"]
-_ODD_GAPS = [" ' ", " ’ʼ ", "\n''.", " « ", " İ ", " \u0302 ", "²", "\u00ad"]
+_ODD_GAPS = [" ' ", " ’ʼ ", "\n''.", " « ", " İ ", " \u0302 ", "²", "\u00ad", " À "]
+_WHOLE_ODD_GAPS = [" « ", "²", "\u00ad"]
 
 
 def _varied_word_list(rng, odd: str | None, exceptions: list) -> str:
@@ -1216,12 +1218,49 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
             assert verdicts == ([True, True] if raised else [True])
             # The whole-text path rewrites no batch of words; placing a strict
             # error rewrites every word of the text once, as one batch.
-            whole = odd is None and name != "two first letters"
+            whole = odd is None or odd in _WHOLE_ODD_GAPS
             words = len(split_words(unicodedata.normalize("NFC", text))) // 2
             placed = [words] if raised else []
             assert (calls == placed) == whole, (strict, calls)
             assert (strict and name == "without q") == bool(placed)
             assert table._word_cache == {} and table._line_cache == {}
+
+
+# Exception words of every kind beside the built-in û, under the table without
+# q: one whose first letter has only an any rule (bav), a vowel with context
+# rules (ez), the apostrophe ('ereb), a rule's own pattern (ll), a prefix of
+# another word of the text (ba) and one that writes nothing (ji).
+_LEXICON = [("bav", "بڤ"), ("ez", "من"), ("'ereb", "عرب"), ("ll", "ل"), ("ba", "ق"), ("ji", "∅")]
+_LEXICON_RULES = _BUILT_IN_RULES.replace("q\tany\tق\n", "") + "".join(
+    f"{word}\tword\t{output}\n" for word, output in _LEXICON
+)
+
+
+def test_exception_words_of_every_kind_on_every_path(monkeypatch):
+    words = [word for word, _ in _LEXICON] + ["û"]
+    assert transliterate_text(" ".join(words), parse_rules(_LEXICON_RULES)) == "بڤ من عرب ل ق  و"
+    # Each word in other cases and glyphs, and words that hold one, which the
+    # rules rewrite; qelem is unmatched.
+    words += ["BAV", "Ez", "’Ereb", "LL", "Ba", "JI", "Û"]
+    words += ["bavo", "dez", "ereb", "lll", "bab", "jin", "ûa", "qelem"]
+    rng = random.Random(37)
+    short = " ".join(words) + "."
+    vocabulary = _random_words(rng, 200) + words
+    lines = [" ".join(rng.choices(vocabulary, k=rng.randint(3, 9))) + "." for _ in range(300)]
+    listed = _random_words(rng, 700)
+    for word in words:  # after the words that tell a word list
+        listed.insert(rng.randint(rules._UNIQUE_BATCH + 1, len(listed)), word)
+    texts = {short: "words", "\n".join(lines): "words", _word_list(listed): "whole"}
+    paths = _paths(monkeypatch)
+    for text, path in texts.items():
+        assert (len(text) >= rules._LONG_TEXT) == (text != short)
+        for strict in (False, True):
+            table = parse_rules(_LEXICON_RULES)
+            paths.clear()
+            expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
+            assert isinstance(expected, tuple) == strict
+            assert outcome(transliterate_text, text, table, strict=strict) == expected
+            assert paths == [path]
 
 
 # ------------------------------------------------------------- strict mode
@@ -1247,16 +1286,35 @@ def test_every_one_letter_word_folds_to_rule_letters():
     for word in words:
         assert LATIN_RULE_CHARS.issuperset(fold_word(word)), word
     # The word list's gates and step 1's word boundary follow the word
-    # characters too: a gap character is ASCII and no word character, and the
-    # gate refuses every character that is neither ASCII nor a word character.
-    gap, not_ascii_or_word = re.compile(f"[{rules._GAP}]"), re.compile(rules._NOT_ASCII_OR_WORD)
+    # characters too: a gap character is a Latin-1 character that is no word
+    # character and that the fold leaves as it is, and the gate refuses every
+    # other character that is no word character.
+    gap, not_gap_or_word = re.compile(f"[{rules._GAP}]"), re.compile(rules._NOT_GAP_OR_WORD)
     chars = [chr(i) for i in code_points]
-    assert [c for c in chars if gap.fullmatch(c)] == [
-        c for c in chars if c.isascii() and c not in WORD_CHARS
+    gaps = [c for c in chars if gap.fullmatch(c)]
+    assert gaps == [c for c in chars[:256] if c not in WORD_CHARS and fold_word(c) == c]
+    gaps_or_word = WORD_CHARS.union(gaps)
+    assert [c for c in chars if not_gap_or_word.fullmatch(c)] == [
+        c for c in chars if c not in gaps_or_word
     ]
-    assert [c for c in chars if not_ascii_or_word.fullmatch(c)] == [
-        c for c in chars if not c.isascii() and c not in WORD_CHARS
-    ]
+
+
+def test_the_fold_leaves_every_gap_of_a_word_list_in_place():
+    # A word list is folded whole with its gaps (RuleSet._rewrite_text), so
+    # each gap character must fold to itself beside any word or gap character:
+    # no case mapping or composition may change it or join it to a word. The
+    # other Latin-1 characters that are no word character are the upper-case
+    # letters the fold would lower, such as À, which the gate refuses.
+    latin_1 = [chr(i) for i in range(256)]
+    gaps = [c for c in latin_1 if re.fullmatch(f"[{rules._GAP}]", c)]
+    others = [c for c in latin_1 if c not in WORD_CHARS and c not in gaps]
+    assert (len(gaps), len(others)) == (169, 26)
+    assert all(c.isupper() and fold_word(c) not in WORD_CHARS | {c} for c in others)
+    for gap in gaps:
+        for neighbour in [*gaps, *sorted(WORD_CHARS)]:
+            folded = fold_word(neighbour)
+            assert fold_word(gap + neighbour) == gap + folded, (gap, neighbour)
+            assert fold_word(neighbour + gap) == folded + gap, (gap, neighbour)
 
 
 def test_only_a_table_mapping_every_letter_skips_the_strict_scan():

@@ -668,8 +668,8 @@ def test_empty_vowel_set_never_fires_after_vowel():
 
 
 # ------------------------------------------------ batches as one string
-# RuleSet._rewrite folds a batch of words as one string, finds exception
-# words from the rule outputs, and runs step 1 grouped by first letter.
+# RuleSet._rewrite folds a batch of words as one string and runs step 1,
+# grouped by first letter, which finds the exception words among the rules.
 
 _COLLIDING = "b\tany\tب\np\tany\tب\nbb\tword\tق\n"
 
@@ -681,7 +681,7 @@ def test_rewrite_of_no_words_is_no_outputs(rs):
 
 def test_exception_among_words_with_its_rule_output():
     # pp and bb have one rule output, so an output of the exception word's
-    # does not make a word the exception: the lookup goes by folded word.
+    # does not make a word the exception: step 1 finds it by its folded word.
     table = parse_rules(_COLLIDING)
     assert table._rewrite(["pp"]) == ["بب"]
     assert transliterate_text("pp bb Pp", table) == "بب ق بب"
