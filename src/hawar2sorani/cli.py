@@ -287,13 +287,13 @@ def run(argv: list | None = None) -> int:
 
 def main() -> None:
     """The ``translit`` command: ``run()``, then exit with its status."""
-    try:
-        status = run()
-    finally:
-        # Nothing the run left is garbage, so the full collections of the
-        # interpreter's exit skip it all. Exit handlers, stdio flushes and
-        # deallocation still run; run() freezes nothing for a library caller.
-        gc.freeze()
+    status = run()
+    # The full collections of the interpreter's exit skip what the run left.
+    # Cycles it left uncollected are frozen too, so their finalizers never
+    # run: nothing of a run may need one at exit (OUT is closed and in place
+    # before run() returns). Exit handlers, stdio flushes and deallocation
+    # still run; run() freezes nothing for a library caller.
+    gc.freeze()
     raise SystemExit(status)
 
 

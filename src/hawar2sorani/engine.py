@@ -132,7 +132,7 @@ def transliterate_text(
     # Strict mode reads the rewritten text alone, whichever path or memo made it:
     # a letter of RuleSet._unmatched stood unmatched, in a word or in a gap.
     if strict and rs._unmatched and re.search(rs._unmatched, out):
-        _strict_error(text, out, rs)
+        _strict_error(text, rs)
     # Word output is Arabic letters or passed-through word characters, never
     # a mapped symbol, so the symbol mapping can run over the whole result.
     out = map_symbols(out, cfg)
@@ -142,26 +142,15 @@ def transliterate_text(
     return unicodedata.normalize("NFC", out)
 
 
-def _strict_error(text: str, out: str, rs: RuleSet) -> None:
+def _strict_error(text: str, rs: RuleSet) -> None:
     """Raise the error for the first word of ``text`` whose output holds a
     letter of ``RuleSet._unmatched``; return if only a gap holds one (an
-    apostrophe alone, under a table with no ``'`` rule).
-
-    ``out`` is ``text`` rewritten, whose lines are those of ``text`` one for
-    one (see ``RuleSet._rewrite_words``), so only the lines of ``text`` whose
-    rewrite holds such a letter are normalized and split, joined as one text.
-    Their outputs come from ``RuleSet._outputs``, which memoizes none of
-    them: a word the memo holds costs a read."""
-    unmatched = re.compile(rs._unmatched).search
-    numbers = [number for number, line in enumerate(out.split("\n"), 1) if unmatched(line)]
-    lines = text.split("\n")
-    pieces = _WORD.split(unicodedata.normalize("NFC", "\n".join([lines[n - 1] for n in numbers])))
-    # No word or output holds a newline, so the outputs joined with newlines
-    # tell which word holds the first such letter.
-    first = unmatched("\n".join(rs._outputs(pieces[1::2], keep=False)))
-    if first:
-        index = 2 * first.string.count("\n", 0, first.start()) + 1
-        offset, char = rs._first_unmatched(pieces[index])
-        before = "".join(pieces[:index])
-        column = len(before) - before.rfind("\n") + offset
-        raise UnmatchedCharacter(char, offset, numbers[before.count("\n")], column)
+    apostrophe alone, under a table with no ``'`` rule). The outputs come from
+    ``RuleSet._outputs``, so a word the memo holds costs a read."""
+    pieces = _WORD.split(unicodedata.normalize("NFC", text))
+    for index, output in zip(range(1, len(pieces), 2), rs._outputs(pieces[1::2])):
+        if re.search(rs._unmatched, output):
+            offset, char = rs._first_unmatched(pieces[index])
+            before = "".join(pieces[:index])
+            column = len(before) - before.rfind("\n") + offset
+            raise UnmatchedCharacter(char, offset, before.count("\n") + 1, column)

@@ -426,19 +426,19 @@ class RuleSet(_Value):
             self._keep_lines(lines, rewritten)
         return rewritten
 
-    def _outputs(self, words: list, keep: bool = True) -> list:
+    def _outputs(self, words: list) -> list:
         """The output of each raw word.
 
         The misses are folded and rewritten in one batch and memoized, unless
-        the batch is a word list (``_is_word_list``), whose words would never
-        hit, or ``keep`` is false.
+        the batch is a word list (``_is_word_list``): its words are not
+        memoized, as none would hit.
         """
         try:  # every word a hit: no Python code runs per word
             return list(map(self._word_cache.__getitem__, words))
         except KeyError:  # a miss, or a read that raced another thread's clear
             pass
-        if not keep or self._is_word_list(words):
-            return self._rewrite(words)  # memoizing none
+        if self._is_word_list(words):
+            return self._rewrite(words)  # no word of it would hit
         # Under the lock no other thread's clear lands between this fill and its reads.
         with self._word_lock:
             cache = self._word_cache

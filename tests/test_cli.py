@@ -322,7 +322,6 @@ _BAD_RULES = "b\tnowhere\tب\n"
         ([], EXIT_OK),
         (["--rules", "bad.rules"], EXIT_RULES),
         (["--rules", "tiny.rules", "--strict"], EXIT_STRICT),
-        (["--no-such-option"], 2),  # argparse's usage error, raised inside run()
     ],
 )
 def test_exit_path_freezes_once_after_the_run(tmp_path, monkeypatch, capsys, options, status):

@@ -1212,16 +1212,15 @@ def test_word_list_folded_whole_matches_oracle(name, odd, seed):
             verdicts.clear()
             expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict)
             assert outcome(transliterate_text, text, table, strict=strict) == expected
-            # Told a word list once, whichever path the text then takes.
+            # Told a word list once, whichever path the text then takes, and
+            # once more by the memo read that places a strict error.
             raised = isinstance(expected, tuple)
-            assert verdicts == [True]
+            assert verdicts == ([True, True] if raised else [True])
             # The whole-text path rewrites no batch of words; placing a strict
-            # error rewrites the words of the lines that hold a q once, as one
-            # batch, as the word memo holds none of them.
+            # error rewrites every word of the text once, as one batch.
             whole = odd is None or odd in _WHOLE_ODD_GAPS
-            lines = unicodedata.normalize("NFC", text).split("\n")
-            flagged = "\n".join(line for line in lines if "q" in line.lower())
-            placed = [len(split_words(flagged)) // 2] if raised else []
+            words = len(split_words(unicodedata.normalize("NFC", text))) // 2
+            placed = [words] if raised else []
             assert (calls == placed) == whole, (strict, calls)
             assert (strict and name == "without q") == bool(placed)
             assert table._word_cache == {} and table._line_cache == {}
@@ -1471,22 +1470,6 @@ def test_strict_apostrophe_gaps_after_a_plain_run_rewrite_no_word(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("lines", [3, 600])
-def test_strict_error_splits_only_the_lines_that_hold_one(monkeypatch, lines):
-    # The only line whose rewrite holds a q is the last: it alone is split to
-    # place the error, short text or long.
-    table = _table_without_q()
-    last = unicodedata.normalize("NFD", "Çiya û şêr qelem")
-    text = "\n".join(["Ew got: min û tu diçin."] * lines + [last])
-    assert (len(text) >= rules._LONG_TEXT) == (lines == 600)
-    expected = outcome(naive_transliterate_text, text, table, EngineConfig(), strict=True)
-    assert expected == ("q", 0, lines + 1, 12)
-    split = []
-    monkeypatch.setattr(engine, "_WORD", _RecordedSplits(engine._WORD, split))
-    assert outcome(transliterate_text, text, table, strict=True) == expected
-    assert split == [unicodedata.normalize("NFC", last)]
-
-
 @pytest.mark.parametrize("long", [False, True])
 def test_strict_mode_passes_an_apostrophe_gap(monkeypatch, long):
     # With no ' rule, an apostrophe alone is a gap that the strict check
@@ -1618,14 +1601,13 @@ def test_long_dirty_text_strict_error_column(monkeypatch):
     assert expected == ("q", 0, 601, 12)
     normalized = _normalized(monkeypatch)
     assert outcome(transliterate_text, text, table, strict=True) == expected
-    # Line by line, then the one line whose rewrite holds the q, whose words
-    # place the error.
-    assert normalized[-1] == line and len(normalized) == text.count("\n") + 2
+    # Line by line, then the whole text, whose words place the error.
+    assert normalized[-1] == text and len(normalized) == text.count("\n") + 2
     plain = naive_transliterate_text(text, table, EngineConfig())
     assert transliterate_text(text, table) == plain
     normalized.clear()
     assert outcome(transliterate_text, text, table, strict=True) == expected
-    assert normalized == [line]  # joined from the line memo, then placed
+    assert normalized == [text]  # joined from the line memo, then placed
 
 
 # ---------------------------------------------------------- module boundary
