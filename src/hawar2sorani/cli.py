@@ -14,7 +14,6 @@ filter that SIGPIPE ended) when the reader of the output goes away, as in
 existing output file as it was and creates none.
 """
 
-import argparse
 import contextlib
 import gc
 import os
@@ -109,81 +108,163 @@ def check_corpus(path, rs: RuleSet, cfg: EngineConfig) -> tuple:
     return len(pairs), failures
 
 
-def _add_shared_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", metavar="FILE", help="rule file replacing the built-in table")
-    parser.add_argument(
-        "--digits",
-        choices=[mode.value for mode in DigitMode],
-        default="keep",
-        help="digit handling (default: keep)",
-    )
-    parser.add_argument(
-        "--punct",
-        choices=[mode.value for mode in PunctMode],
-        default="arabic",
-        help="punctuation handling (default: arabic)",
-    )
-    parser.add_argument(
-        "--rlm",
-        action="store_true",
-        help="append a right-to-left mark after a line-final full stop",
-    )
+# Each grammar is one table, (prog, description, options), and each option a
+# row of flags and the keywords argparse.add_argument takes; the dest is the
+# last flag without its dashes. A run reads its arguments from the table with
+# _parse_exact. argparse is imported and built only for what that declines
+# (help, usage errors, abbreviations): with gettext and locale, which it
+# imports, and its parser, it costs about 3.5 ms of every run.
+_SHARED_OPTIONS = (
+    (("--rules",), dict(metavar="FILE", help="rule file replacing the built-in table")),
+    (
+        ("--digits",),
+        dict(
+            choices=[mode.value for mode in DigitMode],
+            default="keep",
+            help="digit handling (default: keep)",
+        ),
+    ),
+    (
+        ("--punct",),
+        dict(
+            choices=[mode.value for mode in PunctMode],
+            default="arabic",
+            help="punctuation handling (default: arabic)",
+        ),
+    ),
+    (
+        ("--rlm",),
+        dict(action="store_true", help="append a right-to-left mark after a line-final full stop"),
+    ),
+)
+_TRANSLIT = (
+    "translit",
+    "Transliterate Kurdish text in Hawar Latin script into Sorani Persian-Arabic script.",
+    _SHARED_OPTIONS
+    + (
+        (
+            ("--strict",),
+            dict(action="store_true", help="fail on the first in-word character no rule matches"),
+        ),
+        (("-o", "--output"), dict(metavar="OUT", default="-", help="output file (default: stdout)")),
+        (("input",), dict(metavar="IN", nargs="?", default="-", help="input file (default: stdin)")),
+    ),
+)
+_CHECK = (
+    "translit check",
+    "Check a gold-pair corpus against the transliterator.",
+    _SHARED_OPTIONS
+    + (
+        (
+            ("corpus",),
+            dict(
+                metavar="CORPUS",
+                nargs="?",
+                default=None,
+                help="pairs file `latin<TAB>expected` (default: the shipped seed corpus)",
+            ),
+        ),
+    ),
+)
 
 
-def _build_main_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="translit",
-        description="Transliterate Kurdish text in Hawar Latin script into Sorani Persian-Arabic script.",
-    )
-    _add_shared_options(parser)
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on the first in-word character no rule matches",
-    )
-    parser.add_argument("-o", "--output", metavar="OUT", default="-", help="output file (default: stdout)")
-    parser.add_argument("input", metavar="IN", nargs="?", default="-", help="input file (default: stdin)")
+def _parse_exact(argv: list, grammar: tuple) -> dict | None:
+    """``vars()`` of argparse's namespace for ``argv``, or None to let argparse decide.
+
+    It reads each option by its full flag with its value as the next
+    argument, and at most one positional. It declines every other form
+    argparse reads or rejects (``-h``, prefix abbreviations, ``--opt=value``,
+    ``-oOUT``, ``--``, a value starting with ``-`` other than ``-`` itself, a
+    missing value, an invalid choice, a second positional), so argparse
+    gives their help, errors and exit status.
+    """
+    # positional is the dest a plain argument fills, None once one has.
+    values, flags, positional = {}, {}, None
+    for names, keywords in grammar[2]:
+        dest = names[-1].lstrip("-")
+        switch = keywords.get("action") == "store_true"
+        values[dest] = False if switch else keywords.get("default")
+        if names[0].startswith("-"):
+            flags.update(dict.fromkeys(names, (dest, switch, keywords.get("choices"))))
+        else:
+            positional = dest
+    arguments = iter(argv)
+    for argument in arguments:
+        if argument in flags:
+            dest, switch, choices = flags[argument]
+            if switch:
+                values[dest] = True
+                continue
+            value = next(arguments, None)
+            if value is None or value != "-" and value.startswith("-"):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        elif argument != "-" and argument.startswith("-") or positional is None:
+            return None
+        else:
+            values[positional], positional = argument, None
+    return values
+
+
+def _argparser(grammar: tuple):
+    """The argparse parser of ``grammar``, built for what _parse_exact declines."""
+    import argparse
+
+    prog, description, options = grammar
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    for names, keywords in options:
+        parser.add_argument(*names, **keywords)
     return parser
 
 
-def _build_check_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="translit check",
-        description="Check a gold-pair corpus against the transliterator.",
-    )
-    _add_shared_options(parser)
-    parser.add_argument(
-        "corpus",
-        metavar="CORPUS",
-        nargs="?",
-        default=None,
-        help="pairs file `latin<TAB>expected` (default: the shipped seed corpus)",
-    )
-    return parser
+def _parse(argv: list, grammar: tuple) -> dict:
+    """The options of ``argv`` by dest; argparse exits where the arguments are wrong."""
+    args = _parse_exact(argv, grammar)
+    return vars(_argparser(grammar).parse_args(argv)) if args is None else args
 
 
-def _config_from_args(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(args.digits, args.punct, args.rlm)
+def _config_from_args(args: dict) -> EngineConfig:
+    return EngineConfig(args["digits"], args["punct"], args["rlm"])
 
 
-# Batch size for streaming reads. readlines() returns whole lines, so memory
-# stays bounded by max(batch size, longest line), never by file size. The
-# word path holds every word of a prose batch as its own string at once, so
-# 32 KB keeps that small; a word list's batch may be folded and rewritten as one
-# string (see RuleSet._rewrite_words). The per-batch cost is paid once per
-# ~5,000 words.
+# Batch size for streaming reads. Each batch is cut after its last line end,
+# so memory stays bounded by max(batch size, longest line), never by file
+# size. The word path holds every word of a prose batch as its own string at
+# once, so 32 KB keeps that small; a word list's batch may be folded and
+# rewritten as one string (see RuleSet._rewrite_words). The per-batch cost is
+# paid once per ~5,000 words.
 _BATCH_BYTES = 1 << 15
+
+
+def _batches(infile):
+    """Yield the bytes of binary ``infile`` in batches of whole lines.
+
+    Each read of ``_BATCH_BYTES`` is cut after its last newline and the rest
+    begins the next batch; a read with no newline is finished by reading to
+    the end of its line. The last batch may lack a final newline. A cut after
+    a newline never splits a UTF-8 sequence.
+    """
+    tail = b""
+    while block := infile.read(_BATCH_BYTES):
+        block = tail + block
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            tail = block[cut:]
+            yield block[:cut]
+        else:
+            tail = b""
+            yield block + infile.readline()
+    if tail:
+        yield tail
 
 
 def _stream(infile, outfile, rs: RuleSet, cfg: EngineConfig, strict: bool) -> None:
     """Transliterate ``infile`` to ``outfile`` in line batches (both binary)."""
     consumed = 0
     lines_done = 0
-    while True:
-        batch = infile.readlines(_BATCH_BYTES)
-        if not batch:
-            break
-        raw = b"".join(batch)
+    for raw in _batches(infile):
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -238,19 +319,19 @@ def _output(path: str):
         raise
 
 
-def _run_transliterate(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
+def _run_transliterate(args: dict, rs: RuleSet, cfg: EngineConfig) -> int:
     # The input opens first, so a missing input creates no output file.
-    if args.input == "-":
+    if args["input"] == "-":
         infile = contextlib.nullcontext(sys.stdin.buffer)
     else:
-        infile = open(args.input, "rb")
-    with infile as source, _output(args.output) as sink:
-        _stream(source, sink, rs, cfg, args.strict)
+        infile = open(args["input"], "rb")
+    with infile as source, _output(args["output"]) as sink:
+        _stream(source, sink, rs, cfg, args["strict"])
     return EXIT_OK
 
 
-def _run_check(args: argparse.Namespace, rs: RuleSet, cfg: EngineConfig) -> int:
-    total, failures = check_corpus(args.corpus, rs, cfg)
+def _run_check(args: dict, rs: RuleSet, cfg: EngineConfig) -> int:
+    total, failures = check_corpus(args["corpus"], rs, cfg)
     for line, latin, expected, actual in failures:
         print(f"line {line}: {latin!r} -> {actual!r} (expected {expected!r})")
     print(f"check: {total - len(failures)}/{total} pairs passed")
@@ -262,11 +343,11 @@ def run(argv: list | None = None) -> int:
     """CLI entry point, returning the exit status."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "check":
-        args, command = _build_check_parser().parse_args(argv[1:]), _run_check
+        args, command = _parse(argv[1:], _CHECK), _run_check
     else:
-        args, command = _build_main_parser().parse_args(argv), _run_transliterate
+        args, command = _parse(argv, _TRANSLIT), _run_transliterate
     try:
-        rs = default_rules() if args.rules is None else load_rules(args.rules)
+        rs = default_rules() if args["rules"] is None else load_rules(args["rules"])
     except (RuleError, OSError, UnicodeDecodeError) as exc:
         print(f"translit: {exc}", file=sys.stderr)
         return EXIT_RULES

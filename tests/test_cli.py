@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -11,7 +12,7 @@ from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawar2sorani import cli
@@ -242,6 +243,75 @@ def test_failed_run_leaves_output_alone(tmp_path, monkeypatch, data, status):
     assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt", "tiny.rules"]
 
 
+# The CLI reads _BATCH_BYTES at a time and cuts after the last newline.
+def _lines(size):
+    """ASCII lines of words, ``size`` bytes in all, ending in a newline."""
+    full, rest = divmod(size, 16)
+    return b"ez u tu dibejin\n" * full + (b"a" * (rest - 1) + b"\n" if rest else b"")
+
+
+def _batched(data):
+    return list(cli._batches(io.BytesIO(data)))
+
+
+def _stream_run(tmp_path, data, flags=()):
+    """(status, OUT's bytes or None) of ``translit [flags] IN -o OUT`` on ``data``."""
+    src, dst = _write(tmp_path / "in.txt", data), tmp_path / "out.txt"
+    status = run([*flags, src, "-o", str(dst)])
+    return status, dst.read_bytes() if dst.exists() else None
+
+
+def test_batches_finish_a_line_longer_than_three_batches(tmp_path, rs):
+    line = b"ba" * (3 * cli._BATCH_BYTES // 2)
+    assert _batched(line) == [line]
+    data = line + b"\n" + _lines(100)
+    assert _batched(data) == [line + b"\n", _lines(100)]
+    expected = transliterate_text(data.decode(), rs).encode("utf-8")
+    assert _stream_run(tmp_path, data) == (EXIT_OK, expected)
+
+
+def test_batches_end_with_a_last_line_without_newline(tmp_path, rs):
+    data = _lines(cli._BATCH_BYTES * 5 // 2) + b"min u tu"
+    batches = _batched(data)
+    assert b"".join(batches) == data
+    assert all(batch.endswith(b"\n") for batch in batches[:-1])
+    assert batches[-1] == b"min u tu"
+    expected = transliterate_text(data.decode(), rs).encode("utf-8")
+    assert _stream_run(tmp_path, data) == (EXIT_OK, expected)
+
+
+def test_batches_keep_a_crlf_across_a_read_together(tmp_path, rs):
+    # The first read ends between "\r" and "\n" of a line-final stop.
+    data = _lines(cli._BATCH_BYTES - 8) + b"tu min.\r\n" + _lines(100)
+    assert data[cli._BATCH_BYTES - 1 : cli._BATCH_BYTES + 1] == b"\r\n"
+    batches = _batched(data)
+    assert batches[0] == _lines(cli._BATCH_BYTES - 8)
+    assert batches[1].startswith(b"tu min.\r\n")
+    config = EngineConfig(emit_rlm=True)
+    expected = transliterate_text(data.decode(), rs, config).encode("utf-8")
+    assert "\u200f\r\n" in expected.decode()
+    assert _stream_run(tmp_path, data, ["--rlm"]) == (EXIT_OK, expected)
+
+
+def test_invalid_byte_in_the_third_batch_reports_its_file_offset(tmp_path, capsys):
+    data = _lines(cli._BATCH_BYTES * 5 // 2) + b"min \xff tu\n"
+    offset = data.index(b"\xff")
+    batches = _batched(data)
+    assert len(batches) == 3 and b"\xff" in batches[2]
+    assert _stream_run(tmp_path, data) == (EXIT_INPUT, None)
+    assert f"invalid UTF-8 at byte offset {offset}: invalid start byte" in capsys.readouterr().err
+
+
+def test_bom_is_stripped_only_at_byte_0(tmp_path, rs):
+    # A second BOM begins the second batch and is kept, as any other character.
+    bom = "\ufeff".encode()
+    data = bom + _lines(cli._BATCH_BYTES - len(bom)) + bom + b"min\n"
+    assert _batched(data)[1] == bom + b"min\n"
+    expected = transliterate_text(data.decode()[1:], rs).encode("utf-8")
+    assert expected.count(bom) == 1
+    assert _stream_run(tmp_path, data) == (EXIT_OK, expected)
+
+
 def test_output_keeps_mode_and_follows_symlink(tmp_path):
     src = _write(tmp_path / "in.txt", "min\n")
     real = tmp_path / "real.txt"
@@ -398,6 +468,166 @@ def test_rule_file_bom_ignored(tmp_path):
     assert dst.read_text(encoding="utf-8") == "بان\n"
 
 
+# ---------------------------------------------------------------- arguments
+# run() reads the documented forms itself and builds argparse's parsers, from
+# the same table, only for the rest. The reference parsers are built as the
+# CLI built them before it read any form itself; their help, errors and
+# namespaces are what run() must still give.
+
+def _reference_parser(check):
+    import argparse
+
+    if check:
+        parser = argparse.ArgumentParser(
+            prog="translit check",
+            description="Check a gold-pair corpus against the transliterator.",
+        )
+    else:
+        parser = argparse.ArgumentParser(
+            prog="translit",
+            description="Transliterate Kurdish text in Hawar Latin script into Sorani Persian-Arabic script.",
+        )
+    parser.add_argument("--rules", metavar="FILE", help="rule file replacing the built-in table")
+    parser.add_argument(
+        "--digits",
+        choices=[mode.value for mode in DigitMode],
+        default="keep",
+        help="digit handling (default: keep)",
+    )
+    parser.add_argument(
+        "--punct",
+        choices=[mode.value for mode in PunctMode],
+        default="arabic",
+        help="punctuation handling (default: arabic)",
+    )
+    parser.add_argument(
+        "--rlm",
+        action="store_true",
+        help="append a right-to-left mark after a line-final full stop",
+    )
+    if check:
+        parser.add_argument(
+            "corpus",
+            metavar="CORPUS",
+            nargs="?",
+            default=None,
+            help="pairs file `latin<TAB>expected` (default: the shipped seed corpus)",
+        )
+        return parser
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on the first in-word character no rule matches",
+    )
+    parser.add_argument("-o", "--output", metavar="OUT", default="-", help="output file (default: stdout)")
+    parser.add_argument("input", metavar="IN", nargs="?", default="-", help="input file (default: stdin)")
+    return parser
+
+
+_GRAMMARS = {"translit": (cli._TRANSLIT, False), "check": (cli._CHECK, True)}
+_FLAGS = ["--rules", "--digits", "--punct", "--rlm", "--strict", "-o", "--output"]
+_CHOICES = [mode.value for mode in DigitMode] + [mode.value for mode in PunctMode]
+# Every flag, its prefixes (down to "--") and "=" forms, the choices and
+# invalid ones, "-", "--", help, a negative number, "-oOUT" and plain words.
+_ARGUMENT_FORMS = sorted(
+    {flag[:end] for flag in _FLAGS for end in range(2, len(flag) + 1)}
+    | {f"{flag}={value}" for flag in _FLAGS for value in ["arabic", "x", ""]}
+    | set(_CHOICES)
+    | {"-", "-h", "--help", "-5", "-oOUT", "-o-", "roman", "check", "in.txt", "out.txt", "", "a b", "-x y"}
+)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAMMARS))
+@settings(max_examples=400, deadline=None)
+@given(argv=st.lists(st.sampled_from(_ARGUMENT_FORMS) | st.text("-=ao ", max_size=4), max_size=8))
+def test_exact_parser_declines_or_agrees_with_argparse(name, argv):
+    grammar, check = _GRAMMARS[name]
+    exact = cli._parse_exact(argv, grammar)
+    if exact is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(_reference_parser(check).parse_args(argv))
+            except SystemExit as exit:
+                expected = f"argparse exits {exit.code}"
+        assert exact == expected
+
+
+def test_exact_parser_reads_the_documented_forms():
+    argv = ["--strict", "--rlm", "--digits", "arabic", "--punct", "keep", "in.txt", "-o", "out.txt"]
+    assert cli._parse_exact(argv, cli._TRANSLIT) == {
+        "rules": None,
+        "digits": "arabic",
+        "punct": "keep",
+        "rlm": True,
+        "strict": True,
+        "output": "out.txt",
+        "input": "in.txt",
+    }
+    assert cli._parse_exact(["--rules", "my.rules", "-"], cli._CHECK) == {
+        "rules": "my.rules",
+        "digits": "keep",
+        "punct": "arabic",
+        "rlm": False,
+        "corpus": "-",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_GRAMMARS))
+def test_fallback_parser_is_the_reference_parser(name):
+    grammar, check = _GRAMMARS[name]
+    parser, reference = cli._argparser(grammar), _reference_parser(check)
+    assert parser.format_help() == reference.format_help()
+    assert parser.format_usage() == reference.format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        ["check", "--help"],
+        ["--digits", "roman"],
+        ["check", "--punct", "roman"],
+        ["--digits"],
+        ["--rlm=yes"],
+        ["--r", "x"],
+        ["in.txt", "extra"],
+        ["check", "--strict"],
+        ["check", "a", "b"],
+    ],
+)
+def test_help_and_usage_errors_are_argparse_s(argv, capsys):
+    with pytest.raises(SystemExit) as got:
+        run(argv)
+    out, err = capsys.readouterr()
+    check = argv[:1] == ["check"]
+    with pytest.raises(SystemExit) as want:
+        _reference_parser(check).parse_args(argv[check:])
+    assert (got.value.code, out, err) == (want.value.code, *capsys.readouterr())
+    if argv == ["--help"]:
+        assert got.value.code == 0 and out.startswith("usage: translit ") and not err
+    if argv == ["--digits", "roman"]:
+        assert got.value.code == 2 and not out
+        assert "argument --digits: invalid choice: 'roman'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dig", "arabic", "in.txt", "-o", "out.txt"],
+        ["--digits=arabic", "in.txt", "-o", "out.txt"],
+        ["--digits", "arabic", "-oout.txt", "in.txt"],
+        ["--digits", "arabic", "-o", "out.txt", "--", "in.txt"],
+    ],
+)
+def test_forms_only_argparse_reads_still_run(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "in.txt", "1984 min\n")
+    assert cli._parse_exact(argv, cli._TRANSLIT) is None
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "١٩٨٤ من\n"
+
+
 # -------------------------------------------------------------------- check
 
 def test_check_passing_corpus(tmp_path, capsys):
@@ -506,33 +736,43 @@ def test_seed_corpus_path_exists(rs, cfg):
 
 
 _HEAVY_MODULES = {"dataclasses", "inspect", "importlib.resources", "typing", "pathlib"}
+# argparse loads gettext and locale; only help and usage errors need it.
+_ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
-def test_start_up_imports_no_heavy_module():
+def test_start_up_imports_no_heavy_module(tmp_path):
     # Every run pays for start-up before it converts a word. Without site, as
-    # in a clean environment, nothing is preloaded: importing the CLI and
-    # reading the built-in table and the shipped corpus must load none of
-    # these modules. The child prints what it had before, then what it loaded.
+    # in a clean environment, nothing is preloaded: importing the CLI, reading
+    # the built-in table and the shipped corpus, and a plain run and check
+    # must load none of these modules. The child prints the runs' statuses,
+    # what it had before, then what it loaded.
+    src = _write(tmp_path / "in.txt", "min û tu\n")
     child = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from hawar2sorani import cli\n"
         "cli.check_corpus(None, cli.default_rules(), cli.EngineConfig())\n"
+        f"statuses = cli.run([{src!r}, '-o', {str(tmp_path / 'out.txt')!r}]), cli.run(['check'])\n"
+        "print(*statuses)\n"
         "print(*sorted(before))\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
-    src = str(Path(cli.__file__).resolve().parent.parent)
+    package = str(Path(cli.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-S", "-c", child],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": package},
         capture_output=True,
         text=True,
         check=True,
     )
-    before, loaded = map(set, map(str.split, result.stdout.splitlines()))
-    assert not before & _HEAVY_MODULES, sorted(before & _HEAVY_MODULES)
+    *_, statuses, before, loaded = result.stdout.splitlines()
+    assert statuses == f"{EXIT_OK} {EXIT_OK}"
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "من و تو\n"
+    before, loaded = set(before.split()), set(loaded.split())
+    unwanted = _HEAVY_MODULES | _ARGPARSE_MODULES
+    assert not before & unwanted, sorted(before & unwanted)
     assert "hawar2sorani.cli" in loaded
-    assert not loaded & _HEAVY_MODULES, sorted(loaded & _HEAVY_MODULES)
+    assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_package_data_covers_data_files():

@@ -879,8 +879,7 @@ def test_distinct_lines_are_not_kept_past_a_warm_word_memo(monkeypatch):
     assert table._line_cache == {}
     monkeypatch.setattr(cli, "_BATCH_BYTES", 1 << 13)
     data = text.encode("utf-8")
-    source = io.BytesIO(data)
-    batches = [b"".join(lines) for lines in iter(lambda: source.readlines(cli._BATCH_BYTES), [])]
+    batches = list(cli._batches(io.BytesIO(data)))
     assert sum(len(batch.decode()) >= rules._LONG_TEXT for batch in batches) >= 6
     table, sink = default_rules(), io.BytesIO()
     cli._stream(io.BytesIO(data), sink, table, EngineConfig(), False)
@@ -1000,12 +999,11 @@ def test_later_batches_are_joined_from_the_line_memo(monkeypatch):
     )
     text = block * 360
     data = text.encode("utf-8")
-    monkeypatch.setattr(cli, "_BATCH_BYTES", 1 << 14)
-    source = io.BytesIO(data)
-    batches = [
-        b"".join(lines).decode("utf-8")
-        for lines in iter(lambda: source.readlines(cli._BATCH_BYTES), [])
-    ]
+    # The block is 215 bytes, its lines start at bytes 0, 63, 114 and 164, and
+    # a batch starts on the line that holds the first byte of its read, so
+    # reads 65 bytes past a whole number of blocks cut each line in turn.
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 76 * len(block.encode("utf-8")) + 65)
+    batches = [batch.decode("utf-8") for batch in cli._batches(io.BytesIO(data))]
     # Five batches, starting on each line of the block in turn, every one long
     # enough for the memo.
     starts = [batch.partition(" ")[0] for batch in batches]

@@ -17,6 +17,7 @@ import pytest
 
 from hawar2sorani import DigitMode, EngineConfig, UnmatchedCharacter, default_rules, parse_rules
 from hawar2sorani import serialize_rules, transliterate_text, transliterate_word
+from hawar2sorani import cli
 from hawar2sorani.cli import _BATCH_BYTES
 from helpers import split_words
 
@@ -53,8 +54,7 @@ def _write(path, text):
 
 def _batches(text):
     """The batches of ``text`` as the CLI reads them."""
-    stream = io.BytesIO(text.encode("utf-8"))
-    return [b"".join(batch) for batch in iter(lambda: stream.readlines(_BATCH_BYTES), [])]
+    return list(cli._batches(io.BytesIO(text.encode("utf-8"))))
 
 
 # ------------------------------------------------------------ whole texts
